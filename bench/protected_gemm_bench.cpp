@@ -85,22 +85,19 @@ struct ShapeResult {
 
 int usage() {
   std::cerr << "usage: protected_gemm_bench [--csv] [--threads N] [--repeat N] [--json FILE]"
-               " [--smoke] [--serve] [--serve-async [--fault-model] [--trace [FILE]]"
+               " [--smoke] [--serve-async [--fault-model] [--trace [FILE]]"
                " [--metrics [FILE]]] [--sa]\n"
             << "  --csv        emit CSV instead of a box-drawn table\n"
             << "  --threads N  total GEMM threads (default 1; sets the global pool).\n"
-            << "               With --serve/--serve-async: engine workers instead\n"
+            << "               With --serve-async: engine workers instead\n"
             << "  --repeat N   repetitions per measurement, run as interleaved\n"
             << "               raw/protected pairs (default: auto, sized so each cell\n"
-            << "               measures >= ~50ms of work). With --serve: batches\n"
+            << "               measures >= ~50ms of work)\n"
             << "  --json FILE  also write a machine-readable record (for CI archival\n"
             << "               and the baseline regression gate)\n"
             << "  --smoke      tiny shape set (128^3 plus a ragged edge shape); paired\n"
             << "               with --repeat 1 it drives every SIMD reduction and fused\n"
             << "               path once under the sanitizer CI leg\n"
-            << "  --serve      batched serving mode: drive a TileGrid through the\n"
-            << "               ServeEngine and report requests/s, p50/p99 latency, and\n"
-            << "               per-request screen overhead (raw vs protected tiles)\n"
             << "  --serve-async  continuous-batching mode: multi-tenant submit/poll\n"
             << "               traffic with mixed priorities and shapes, a tile-by-tile\n"
             << "               weight hot-swap mid-stream, and per-tenant req/s +\n"
@@ -253,155 +250,6 @@ void write_json(const std::string& path, const std::vector<ShapeResult>& results
   os << "  ]\n}\n";
 }
 
-/// Batched serving mode: one TileGrid shared by every request, the engine's
-/// bounded queue feeding `threads` workers. Reports throughput (requests/s),
-/// tail latency from the engine's stats, and the per-request screen overhead
-/// measured exactly like the GEMM bench's detect_ms: interleaved raw/protected
-/// pairs over the SAME tiles and resident panels, median of the differences.
-int serve_main(bool csv, bool smoke, long threads, int repeat, const std::string& json_path) {
-  namespace rt = realm::tensor;
-  realm::util::Rng rng(0x5e7e);
-  // Request-level parallelism only: each worker's GEMMs run inline (thread
-  // pool nesting rule), so the global GEMM pool is pinned to 1 to keep the
-  // single-threaded overhead measurement and the serve path consistent.
-  realm::util::set_global_threads(1);
-
-  const std::size_t m = smoke ? 16 : 64;  // decode-like request height
-  const std::size_t k = smoke ? 128 : 1024;
-  const std::size_t n = smoke ? 256 : 2048;
-  realm::serve::TileGridConfig gcfg;
-  gcfg.tile_cols = smoke ? 64 : 256;
-  const realm::serve::TileGrid grid(random_i8(k, n, rng), rt::QuantParams{0.02f}, gcfg);
-  const rt::QuantParams qa{0.05f};
-
-  const std::size_t nreq = smoke ? 8 : 64;
-  std::vector<rt::MatI8> acts;
-  acts.reserve(nreq);
-  for (std::size_t i = 0; i < nreq; ++i) acts.push_back(random_i8(m, k, rng));
-  const realm::fault::MagFreqInjector mag(1 << 20, 3);
-  std::vector<realm::serve::Request> reqs(nreq);
-  for (std::size_t i = 0; i < nreq; ++i) {
-    reqs[i].a8 = &acts[i];
-    reqs[i].qa = qa;
-    // Mostly-clean traffic with a detectable fault every 8th request, so the
-    // measured throughput includes realistic recompute-correct work.
-    reqs[i].injector = (i % 8 == 7) ? &mag : nullptr;
-  }
-
-  // Per-request screen overhead: raw tiles (prepacked GEMM only) vs clean
-  // protected tiles, interleaved at pair granularity, median difference —
-  // same drift-cancelling protocol as the per-shape bench.
-  std::vector<rt::MatI32> raw_scratch;
-  std::vector<realm::detect::ProtectedGemmResult> prot_scratch;
-  rt::MatF out;
-  realm::serve::BatchVerdict bv;
-  const realm::fault::NullInjector none;
-  grid.run_raw_into(acts[0], raw_scratch);  // warm buffers + panels
-  grid.run_into(acts[0], qa, none, rng, prot_scratch, out, bv);
-  const int pairs = repeat > 0 ? repeat * 8 : (smoke ? 4 : 32);
-  std::vector<double> raw_t(pairs), detect_d(pairs);
-  for (int p = 0; p < pairs; ++p) {
-    const auto& a8 = acts[static_cast<std::size_t>(p) % nreq];
-    auto t0 = realm::util::now_ns();
-    grid.run_raw_into(a8, raw_scratch);
-    raw_t[p] = seconds_since(t0);
-    t0 = realm::util::now_ns();
-    grid.run_into(a8, qa, none, rng, prot_scratch, out, bv);
-    detect_d[p] = seconds_since(t0) - raw_t[p];
-  }
-  const auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double raw_s = median(raw_t);
-  const double detect_s = std::max(median(detect_d), 0.0);
-  const double overhead_pct = detect_s / raw_s * 100.0;
-
-  // Throughput: serve `batches` full batches through the bounded queue.
-  realm::serve::ServeConfig scfg;
-  scfg.workers = static_cast<std::size_t>(threads);
-  scfg.queue_capacity = 16;
-  scfg.seed = 0xba7c4;  // fixed; forked per request inside the engine
-  realm::serve::ServeEngine engine(grid, scfg);
-  std::vector<realm::serve::Response> responses;
-  engine.serve(reqs, responses);  // warm per-worker buffers
-  engine.reset_stats();
-  const int batches = repeat > 0 ? repeat : (smoke ? 1 : 5);
-  // Aggregate every batch's latencies so the archived p50/p99 covers the
-  // whole run exactly, independent of the engine's sliding-window span.
-  std::vector<double> all_lat;
-  all_lat.reserve(static_cast<std::size_t>(batches) * nreq);
-  const auto t0 = realm::util::now_ns();
-  for (int b = 0; b < batches; ++b) {
-    engine.serve(reqs, responses);
-    for (const auto& r : responses) all_lat.push_back(r.latency_ms);
-  }
-  const double wall_s = seconds_since(t0);
-  const realm::serve::ServeStats st = engine.stats();
-  const double rps = static_cast<double>(st.completed) / wall_s;
-  const double p50 = realm::util::quantile(all_lat, 0.50);
-  const double p99 = realm::util::quantile(all_lat, 0.99);
-
-  realm::util::TablePrinter table(
-      std::string("protected_gemm_bench --serve (TileGrid through ServeEngine, tier=") +
-      realm::tensor::kernels::to_string(realm::tensor::kernels::active_tier()) + ")");
-  table.header({"workers", "tiles", "m", "k", "n", "req/s", "p50_ms", "p99_ms", "raw_ms",
-                "detect_ms", "overhead", "corrected"});
-  table.row({std::to_string(scfg.workers), std::to_string(grid.tile_count()), std::to_string(m),
-             std::to_string(k), std::to_string(n), realm::util::TablePrinter::num(rps),
-             realm::util::TablePrinter::num(p50), realm::util::TablePrinter::num(p99),
-             realm::util::TablePrinter::num(raw_s * 1e3),
-             realm::util::TablePrinter::num(detect_s * 1e3),
-             realm::util::TablePrinter::pct(overhead_pct / 100.0),
-             std::to_string(st.tiles_corrected())});
-  if (csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    if (!os) {
-      std::cerr << "protected_gemm_bench: cannot write " << json_path << "\n";
-      return 1;
-    }
-    os << "{\n  \"schema_version\": 1,\n  \"mode\": \"serve\",\n";
-    write_provenance(os, false);
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"kernel_tier\": \"%s\",\n"
-                  "  \"workers\": %zu,\n"
-                  "  \"tile_cols\": %zu,\n"
-                  "  \"tiles\": %zu,\n"
-                  "  \"m\": %zu, \"k\": %zu, \"n\": %zu,\n"
-                  "  \"requests_per_batch\": %zu,\n"
-                  "  \"batches\": %d,\n"
-                  "  \"rps\": %.2f,\n"
-                  "  \"p50_ms\": %.4f,\n"
-                  "  \"p99_ms\": %.4f,\n"
-                  "  \"raw_ms\": %.4f,\n"
-                  "  \"detect_ms\": %.4f,\n"
-                  "  \"overhead_pct\": %.2f,\n"
-                  "  \"tiles_screened\": %llu,\n"
-                  "  \"tiles_detected\": %llu,\n"
-                  "  \"tiles_patched\": %llu,\n"
-                  "  \"tiles_recomputed\": %llu,\n"
-                  "  \"tiles_corrected\": %llu\n"
-                  "}\n",
-                  realm::tensor::kernels::to_string(realm::tensor::kernels::active_tier()),
-                  scfg.workers, gcfg.tile_cols, grid.tile_count(), m, k, n, nreq, batches, rps,
-                  p50, p99, raw_s * 1e3, detect_s * 1e3, overhead_pct,
-                  static_cast<unsigned long long>(st.tiles_screened),
-                  static_cast<unsigned long long>(st.tiles_detected),
-                  static_cast<unsigned long long>(st.tiles_patched),
-                  static_cast<unsigned long long>(st.tiles_recomputed),
-                  static_cast<unsigned long long>(st.tiles_corrected()));
-    os << buf;
-  }
-  return 0;
-}
-
 /// Async continuous-batching mode: multi-tenant submit/poll traffic with
 /// mixed priorities and mixed request shapes through the persistent-worker
 /// engine, plus a tile-by-tile weight hot-swap landing mid-stream, then a
@@ -470,15 +318,12 @@ int serve_async_main(bool csv, bool smoke, long threads, int repeat, const std::
   scfg.metrics = &registry;
   realm::serve::ServeEngine engine(grid, scfg);
 
-  // Warm-up under a dedicated tenant so the measured tenants' books stay
-  // clean (TenantBook is append-only by design). Tracing starts after it so
-  // the exported spans and metrics cover the measured phase only.
+  // Warm-up, then one reset so the accounting and metrics cover the
+  // measured phase only. Tracing starts after it for the same reason.
   {
     tracer.set_enabled(false);
-    realm::serve::SubmitOptions wopt;
-    wopt.tenant = "warmup";
     for (std::size_t i = 0; i < acts.size(); ++i) {
-      engine.wait(engine.submit(realm::serve::Request::borrow(acts[i], qa), wopt));
+      engine.wait(engine.submit(realm::serve::Request::borrow(acts[i], qa)));
     }
     engine.reset_stats();
     tracer.set_enabled(trace);
@@ -605,7 +450,7 @@ int serve_async_main(bool csv, bool smoke, long threads, int repeat, const std::
   table.header({"tenant", "priority", "submitted", "completed", "patched", "recomputed", "req/s",
                 "p50_ms", "p99_ms"});
   for (const char* name : {"pro", "free"}) {
-    const realm::serve::TenantStats ts = engine.tenant_stats(name);
+    const realm::serve::ServeStats ts = engine.tenant_stats(name);
     table.row({ts.tenant, std::string(name) == "pro" ? "interactive" : "batch",
                std::to_string(ts.submitted), std::to_string(ts.completed),
                std::to_string(ts.requests_patched), std::to_string(ts.requests_recomputed),
@@ -708,7 +553,6 @@ int serve_async_main(bool csv, bool smoke, long threads, int repeat, const std::
 int main(int argc, char** argv) {
   bool csv = false;
   bool smoke = false;
-  bool serve = false;
   bool serve_async = false;
   bool fault_model = false;
   bool sa = false;
@@ -723,8 +567,6 @@ int main(int argc, char** argv) {
       csv = true;
     } else if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--serve") {
-      serve = true;
     } else if (arg == "--serve-async") {
       serve_async = true;
     } else if (arg == "--fault-model") {
@@ -748,12 +590,9 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (static_cast<int>(serve) + static_cast<int>(serve_async) + static_cast<int>(sa) > 1) {
-    return usage();
-  }
+  if (serve_async && sa) return usage();
   if (fault_model && !serve_async) return usage();  // only meaningful for the async engine
   if ((!trace_path.empty() || !metrics_path.empty()) && !serve_async) return usage();
-  if (serve) return serve_main(csv, smoke, threads, repeat, json_path);
   if (serve_async) {
     return serve_async_main(csv, smoke, threads, repeat, json_path, fault_model, trace_path,
                             metrics_path);

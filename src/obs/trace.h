@@ -206,7 +206,8 @@ class ScopedSpan {
 /// Installs the TraceContext for one request on a worker thread, emits the
 /// kQueued span (submit → now) immediately, and records the enclosing
 /// kRequest span (submit → destruction) on the way out. Restores the prior
-/// context so nested engines (serve() shim inside tests) stay correct.
+/// context so nested engines (an engine driven from inside another) stay
+/// correct.
 class ScopedRequestTrace {
  public:
   ScopedRequestTrace(Tracer* tracer, std::size_t lane, std::uint64_t stream, std::uint16_t tenant,

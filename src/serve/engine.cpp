@@ -1,5 +1,6 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -50,15 +51,56 @@ void emit_instant_lane(obs::Tracer* tracer, std::size_t lane, obs::SpanKind kind
   }
 }
 
+/// Trace-event tenant tag of a row: its index, wrapping past 65535 tenants
+/// (the tag labels events only; accounting is keyed by the row).
+std::uint16_t trace_tag(std::size_t row) noexcept { return static_cast<std::uint16_t>(row); }
+
+/// Completions per second across a ring of completion instants (seconds):
+/// 0 until two completions land, and while the clock stands still.
+double rate_per_s(const util::SlidingWindow& done_s) {
+  if (done_s.count() < 2) return 0.0;
+  const double span_s = done_s.quantile(1.0) - done_s.quantile(0.0);
+  return span_s > 0 ? static_cast<double>(done_s.count() - 1) / span_s : 0.0;
+}
+
+/// Window quantiles of a latency ring into a snapshot.
+void fill_window(ServeStats& out, const util::SlidingWindow& latency_window) {
+  out.window_count = latency_window.count();
+  if (out.window_count > 0) {
+    out.window_p50_ms = latency_window.quantile(0.50);
+    out.window_p99_ms = latency_window.quantile(0.99);
+  }
+}
+
+/// Adds one row's counters and cumulative latency into an engine-wide sum.
+void add_row(ServeStats& sum, const ServeStats& row) {
+  sum.submitted += row.submitted;
+  sum.rejected += row.rejected;
+  sum.completed += row.completed;
+  sum.expired += row.expired;
+  sum.failed += row.failed;
+  sum.tiles_screened += row.tiles_screened;
+  sum.tiles_detected += row.tiles_detected;
+  sum.tiles_patched += row.tiles_patched;
+  sum.tiles_recomputed += row.tiles_recomputed;
+  sum.requests_faulty += row.requests_faulty;
+  sum.requests_patched += row.requests_patched;
+  sum.requests_recomputed += row.requests_recomputed;
+  sum.requests_detected += row.requests_detected;
+  for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
+    sum.component_flips[i] += row.component_flips[i];
+  }
+  sum.latency_ms.merge(row.latency_ms);
+}
+
 }  // namespace
 
 ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
     : grid_(grid),
       cfg_(cfg),
       clock_(cfg.clock ? cfg.clock : &steady_clock_instance()),
-      sched_(cfg.queue_capacity),  // throws if the capacity is 0
-      tenants_(cfg.stats_window),  // throws if the window is 0
-      latency_window_(cfg.stats_window) {
+      queue_(cfg.queue_capacity, kPriorityLanes),  // throws if the capacity is 0
+      latency_window_(cfg.stats_window) {          // throws if the window is 0
   if (cfg_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *cfg_.metrics;
     const auto state_counter = [&reg](const char* state) {
@@ -103,8 +145,8 @@ ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
     }
   } catch (...) {
     // A failed spawn must not unwind past joinable threads (std::terminate);
-    // close the scheduler, join what started, surface the original error.
-    sched_.close();
+    // close the queue, join what started, surface the original error.
+    queue_.close();
     for (auto& th : threads_) th.join();
     throw;
   }
@@ -112,8 +154,8 @@ ServeEngine::ServeEngine(const TileGrid& grid, ServeConfig cfg)
 
 ServeEngine::~ServeEngine() {
   // Graceful close: no new admissions, workers drain every queued ticket
-  // (Scheduler::next keeps handing out work after close until empty).
-  sched_.close();
+  // (the queue keeps handing out work after close until empty).
+  queue_.close();
   for (auto& th : threads_) th.join();
 }
 
@@ -122,18 +164,16 @@ std::optional<Ticket> ServeEngine::enqueue(Request&& request, const SubmitOption
   if (request.activation() == nullptr) {
     throw std::invalid_argument("ServeEngine: request with null activation");
   }
-  const std::string tenant(options.tenant);
   Ticket ticket;
   std::uint64_t stream = 0;
-  std::uint16_t tenant_id = 0;
+  std::size_t row = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ticket.id = next_id_++;
+    row = row_locked(options.tenant);
     Slot& slot = slots_[ticket.id];
-    slot.state = TicketState::kQueued;
     slot.request = std::move(request);
-    slot.tenant = tenant;
-    slot.tenant_id = tenant_id = tenant_id_locked(tenant);
+    slot.row = row;
     slot.deadline = options.deadline;
     slot.submitted_at = clock_->now();
     // Default stream: the submission sequence (ticket id - 1), so a single
@@ -142,21 +182,21 @@ std::optional<Ticket> ServeEngine::enqueue(Request&& request, const SubmitOption
     slot.stream = stream = options.stream.value_or(ticket.id - 1);
     ++inflight_;
   }
-  const bool admitted = blocking ? sched_.admit(ticket.id, options.priority)
-                                 : sched_.try_admit(ticket.id, options.priority);
+  const std::size_t lane = lane_of(options.priority);
+  const bool admitted =
+      blocking ? queue_.push(ticket.id, lane) : queue_.try_push(ticket.id, lane);
   if (!admitted) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       slots_.erase(ticket.id);
       --inflight_;
-      ++counters_.rejected;
+      ++rows_[row].totals.rejected;
+      if (met_.rejected != nullptr) met_.rejected->inc();
     }
-    if (met_.rejected != nullptr) met_.rejected->inc();
-    emit_instant_control(cfg_.tracer, obs::SpanKind::kLoadShed, stream, tenant_id);
-    tenants_.record_rejected(tenant);
+    emit_instant_control(cfg_.tracer, obs::SpanKind::kLoadShed, stream, trace_tag(row));
     done_cv_.notify_all();  // a parked drain() must re-check its predicate
     if (blocking) {
-      // admit() only fails once the scheduler is closed — submitting into a
+      // push() only fails once the queue is closed — submitting into a
       // destructing engine is a caller bug worth throwing about.
       throw std::runtime_error("ServeEngine: submit after shutdown");
     }
@@ -164,22 +204,21 @@ std::optional<Ticket> ServeEngine::enqueue(Request&& request, const SubmitOption
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.submitted;
+    ++rows_[row].totals.submitted;
+    if (met_.submitted != nullptr) {
+      met_.submitted->inc();
+      met_.queue_depth->add(1);
+    }
   }
-  if (met_.submitted != nullptr) met_.submitted->inc();
-  if (met_.queue_depth != nullptr) met_.queue_depth->add(1);
-  tenants_.record_submitted(tenant);
   return ticket;
 }
 
-std::uint16_t ServeEngine::tenant_id_locked(const std::string& tenant) {
-  const auto it = tenant_ids_.find(tenant);
-  if (it != tenant_ids_.end()) return it->second;
-  // Ids wrap past 65535 tenants — they tag trace events only; accounting is
-  // keyed by name.
-  const auto id = static_cast<std::uint16_t>(tenant_ids_.size());
-  tenant_ids_.emplace(tenant, id);
-  return id;
+std::size_t ServeEngine::row_locked(std::string_view tenant) {
+  const auto it = row_of_.find(tenant);
+  if (it != row_of_.end()) return it->second;
+  rows_.emplace_back(cfg_.stats_window);
+  row_of_.emplace(std::string(tenant), rows_.size() - 1);
+  return rows_.size() - 1;
 }
 
 Ticket ServeEngine::submit(Request request, SubmitOptions options) {
@@ -218,21 +257,19 @@ void ServeEngine::worker_loop(std::size_t lane) {
   util::mark_thread_as_pool_worker();
   WorkerScratch scratch;
   std::uint64_t id = 0;
-  while (sched_.next(id)) {
-    if (met_.queue_depth != nullptr) met_.queue_depth->add(-1);
+  while (queue_.pop(id)) {
     Request request;
-    std::string tenant;
-    std::uint16_t tenant_id = 0;
+    std::size_t row = 0;
     std::uint64_t stream = 0;
     util::TimePoint submitted_at{};
     bool expired = false;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       Slot& slot = slots_.at(id);
-      tenant = slot.tenant;
-      tenant_id = slot.tenant_id;
+      row = slot.row;
       stream = slot.stream;
       submitted_at = slot.submitted_at;
+      if (met_.queue_depth != nullptr) met_.queue_depth->add(-1);
       if (slot.deadline && clock_->now() > *slot.deadline) {
         // Retired at the deadline: the GEMM never runs, the output stays
         // empty, and the request's fault stream is simply never drawn (other
@@ -240,23 +277,23 @@ void ServeEngine::worker_loop(std::size_t lane) {
         slot.state = TicketState::kExpired;
         slot.response.expired = true;
         expired = true;
-        ++counters_.expired;
+        ++rows_[row].totals.expired;
+        if (met_.expired != nullptr) met_.expired->inc();
         --inflight_;
       } else {
         slot.state = TicketState::kRunning;
         request = slot.request;  // pointers + shared_ptr: cheap, lock stays short
+        if (met_.queue_wait_us != nullptr) {
+          const std::int64_t wait_ns = util::to_ns(clock_->now()) - util::to_ns(submitted_at);
+          met_.queue_wait_us->observe(wait_ns > 0 ? static_cast<std::uint64_t>(wait_ns) / 1000
+                                                  : 0);
+        }
       }
     }
     if (expired) {
-      if (met_.expired != nullptr) met_.expired->inc();
-      emit_instant_lane(cfg_.tracer, lane, obs::SpanKind::kExpired, stream, tenant_id);
-      tenants_.record_expired(tenant);
+      emit_instant_lane(cfg_.tracer, lane, obs::SpanKind::kExpired, stream, trace_tag(row));
       done_cv_.notify_all();
       continue;
-    }
-    if (met_.queue_wait_us != nullptr) {
-      const std::int64_t wait_ns = util::to_ns(clock_->now()) - util::to_ns(submitted_at);
-      met_.queue_wait_us->observe(wait_ns > 0 ? static_cast<std::uint64_t>(wait_ns) / 1000 : 0);
     }
 
     Response response;
@@ -265,7 +302,7 @@ void ServeEngine::worker_loop(std::size_t lane) {
       // Installs this thread's trace context: the grid's per-tile spans and
       // the detect stage spans nest under this request span; the kQueued
       // child (submit → claim) is recorded by the constructor.
-      obs::ScopedRequestTrace req_trace(cfg_.tracer, lane, stream, tenant_id,
+      obs::ScopedRequestTrace req_trace(cfg_.tracer, lane, stream, trace_tag(row),
                                         util::to_ns(submitted_at));
       try {
         process(scratch, request, stream, response);
@@ -279,42 +316,51 @@ void ServeEngine::worker_loop(std::size_t lane) {
           any_flips = any_flips || f > 0;
         }
         if (any_flips) {
-          emit_instant_lane(cfg_.tracer, lane, obs::SpanKind::kInjectedFlips, stream, tenant_id,
-                            obs::span_id(stream, -1, obs::SpanKind::kRequest));
+          emit_instant_lane(cfg_.tracer, lane, obs::SpanKind::kInjectedFlips, stream,
+                            trace_tag(row), obs::span_id(stream, -1, obs::SpanKind::kRequest));
         }
       }
     }
-    const double latency_ms = response.latency_ms;
-    const detect::Verdict verdict = response.verdict.verdict;
-    const fault::ComponentFlips component_flips = response.verdict.component_flips;
+    // Completion instant for the tenant's req/s ring (engine clock, seconds).
+    const double done_s = error ? 0.0 : static_cast<double>(util::to_ns(clock_->now())) * 1e-9;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       Slot& slot = slots_.at(id);
+      TenantRow& r = rows_[row];
       if (error) {
         slot.state = TicketState::kFailed;
         slot.error = error;
-        ++counters_.failed;
+        ++r.totals.failed;
         if (met_.failed != nullptr) met_.failed->inc();
       } else {
         slot.state = TicketState::kDone;
-        ++counters_.completed;
-        counters_.tiles_screened += response.verdict.tiles;
-        counters_.tiles_detected += response.verdict.tiles_detected;
-        counters_.tiles_patched += response.verdict.tiles_patched;
-        counters_.tiles_recomputed += response.verdict.tiles_recomputed;
+        const BatchVerdict& v = response.verdict;
+        const double latency_ms = response.latency_ms;
+        ServeStats& t = r.totals;
+        ++t.completed;
+        t.tiles_screened += v.tiles;
+        t.tiles_detected += v.tiles_detected;
+        t.tiles_patched += v.tiles_patched;
+        t.tiles_recomputed += v.tiles_recomputed;
+        if (v.verdict != detect::Verdict::kClean) ++t.requests_faulty;
+        if (v.verdict == detect::Verdict::kPatched) ++t.requests_patched;
+        if (v.verdict == detect::Verdict::kRecomputed) ++t.requests_recomputed;
+        if (v.verdict == detect::Verdict::kDetected) ++t.requests_detected;
         for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
-          counters_.component_flips[i] += component_flips[i];
+          t.component_flips[i] += v.component_flips[i];
         }
-        counters_.latency_ms.add(latency_ms);
+        t.latency_ms.add(latency_ms);
+        r.latency_window.add(latency_ms);
+        r.done_s.add(done_s);
         latency_window_.add(latency_ms);
         if (met_.completed != nullptr) {
           met_.completed->inc();
-          met_.tiles_screened->inc(response.verdict.tiles);
-          met_.tiles_detected->inc(response.verdict.tiles_detected);
-          met_.tiles_patched->inc(response.verdict.tiles_patched);
-          met_.tiles_recomputed->inc(response.verdict.tiles_recomputed);
+          met_.tiles_screened->inc(v.tiles);
+          met_.tiles_detected->inc(v.tiles_detected);
+          met_.tiles_patched->inc(v.tiles_patched);
+          met_.tiles_recomputed->inc(v.tiles_recomputed);
           for (std::size_t i = 0; i < fault::kComponentCount; ++i) {
-            if (component_flips[i] > 0) met_.component_flips[i]->inc(component_flips[i]);
+            if (v.component_flips[i] > 0) met_.component_flips[i]->inc(v.component_flips[i]);
           }
           met_.latency_us->observe(
               latency_ms > 0 ? static_cast<std::uint64_t>(latency_ms * 1000.0) : 0);
@@ -322,11 +368,6 @@ void ServeEngine::worker_loop(std::size_t lane) {
         slot.response = std::move(response);
       }
       --inflight_;
-    }
-    if (error) {
-      tenants_.record_failed(tenant);
-    } else {
-      tenants_.record_completed(tenant, latency_ms, verdict, component_flips, clock_->now());
     }
     done_cv_.notify_all();
   }
@@ -345,12 +386,19 @@ Response ServeEngine::wait(Ticket ticket) {
   Slot slot;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (slots_.find(ticket.id) == slots_.end()) {
+    auto it = slots_.find(ticket.id);
+    // One waiter per ticket: a second one throws here instead of racing the
+    // first to a slot that the first is about to erase.
+    if (it == slots_.end() || it->second.waited) {
       throw std::invalid_argument("ServeEngine: unknown or already-consumed ticket");
     }
-    // Re-look-up per check: concurrent submits may rehash the table.
-    done_cv_.wait(lock, [&] { return terminal(slots_.at(ticket.id).state); });
-    const auto it = slots_.find(ticket.id);
+    it->second.waited = true;
+    // Re-look-up per check: concurrent submits may rehash the table. The
+    // slot itself stays: only this waiter erases it.
+    done_cv_.wait(lock, [&] {
+      it = slots_.find(ticket.id);
+      return terminal(it->second.state);
+    });
     slot = std::move(it->second);
     slots_.erase(it);
   }
@@ -363,71 +411,45 @@ void ServeEngine::drain() {
   done_cv_.wait(lock, [&] { return inflight_ == 0; });
 }
 
-void ServeEngine::serve(std::span<const Request> requests, std::vector<Response>& responses) {
-  // Validate up front so malformed batches fail before anything is admitted.
-  for (const Request& rq : requests) {
-    if (rq.activation() == nullptr) {
-      throw std::invalid_argument("ServeEngine: request with null activation");
-    }
-  }
-  responses.resize(requests.size());
-  if (requests.empty()) return;
-
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SubmitOptions options;
-    options.stream = i;  // the old per-batch fork(i) streams, bit-identical
-    tickets.push_back(submit(requests[i], options));
-  }
-  // Retire the whole batch even if a request failed: every ticket must be
-  // consumed before the first error is rethrown, or the engine would carry
-  // orphaned slots across serve() calls.
-  std::exception_ptr first_error;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    try {
-      responses[i] = wait(tickets[i]);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-std::vector<Response> ServeEngine::serve(std::span<const Request> requests) {
-  std::vector<Response> responses;
-  serve(requests, responses);
-  return responses;
-}
-
 ServeStats ServeEngine::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  ServeStats out = counters_;
-  out.window_count = latency_window_.count();
-  if (out.window_count > 0) {
-    out.window_p50_ms = latency_window_.quantile(0.50);
-    out.window_p99_ms = latency_window_.quantile(0.99);
+  ServeStats out;
+  for (const TenantRow& r : rows_) {
+    add_row(out, r.totals);
+    out.req_per_s += rate_per_s(r.done_s);
   }
+  fill_window(out, latency_window_);
   return out;
 }
 
 void ServeEngine::reset_stats() {
-  // Three internally-consistent steps, each atomic under its own lock —
-  // see the header contract (a concurrent reader interleaving between steps
-  // sees old-or-new per surface, never a torn snapshot of any one of them).
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    counters_ = ServeStats{};
-    latency_window_ = util::SlidingWindow(cfg_.stats_window);
-  }
-  tenants_.reset_windows();
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (TenantRow& r : rows_) r = TenantRow(cfg_.stats_window);
+  latency_window_ = util::SlidingWindow(cfg_.stats_window);
   if (cfg_.metrics != nullptr) cfg_.metrics->reset();
 }
 
-TenantStats ServeEngine::tenant_stats(std::string_view tenant) const {
-  return tenants_.stats(tenant);
+ServeStats ServeEngine::tenant_stats(std::string_view tenant) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = row_of_.find(tenant);
+  if (it == row_of_.end()) {
+    throw std::invalid_argument("ServeEngine: unknown tenant '" + std::string(tenant) + "'");
+  }
+  const TenantRow& r = rows_[it->second];
+  ServeStats out = r.totals;
+  out.tenant = it->first;
+  fill_window(out, r.latency_window);
+  out.req_per_s = rate_per_s(r.done_s);
+  return out;
 }
 
-std::vector<std::string> ServeEngine::tenants() const { return tenants_.tenants(); }
+std::vector<std::string> ServeEngine::tenants() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::string> names;
+  names.reserve(row_of_.size());
+  for (const auto& entry : row_of_) names.push_back(entry.first);
+  std::sort(names.begin(), names.end());
+  return names;
+}
 
 }  // namespace realm::serve

@@ -7,7 +7,7 @@
 //        │  admission control: blocking submit() parks under backpressure
 //        │  (bounded budget shared across lanes); try_submit() sheds load
 //        v
-//   Scheduler lanes  [interactive] > [normal] > [batch]   (strict priority)
+//   priority lanes  [interactive] > [normal] > [batch]    (strict priority)
 //        │
 //        v            persistent worker threads (ServeConfig::workers)
 //   worker_loop: pop most-urgent ticket ──> deadline check ──> TileGrid run
@@ -32,10 +32,8 @@
 // where `stream` is SubmitOptions::stream if pinned, else the ticket's
 // submission sequence. Verdicts and outputs are therefore a pure function of
 // (seed, request, stream) — independent of worker count, queue depth,
-// priorities, or completion order. The synchronous serve() shim pins
-// stream = batch index i, making it bit-identical to the pre-async engine
-// and to any async run that pins the same streams. Latency stats are the
-// only nondeterministic outputs.
+// priorities, or completion order: any two runs that pin the same streams
+// are bit-identical. Latency stats are the only nondeterministic outputs.
 //
 // Weight hot-swap: the engine reads tiles through TileGrid's per-tile
 // snapshots, so the owner may call grid.swap_tile()/swap_weights() while
@@ -43,6 +41,12 @@
 // weights (old or new, never half-swapped; see tile_grid.h for the state
 // machine). drain() is the barrier for callers that want a strict epoch:
 // drain, swap every tile, resume submitting.
+//
+// Accounting: one row per tenant, guarded by the engine lock. Each serve
+// event (submitted, rejected, expired, completed, failed) updates its
+// tenant's row exactly once, inside the critical section that already moves
+// the ticket through its lifecycle; an attached metrics registry is bumped
+// from the same site. stats() sums the rows, tenant_stats() reads one.
 //
 // Thread safety: submit/try_submit/poll/wait/drain/stats/tenant_stats may be
 // called concurrently from any number of threads. wait() consumes the
@@ -54,22 +58,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "serve/scheduler.h"
-#include "serve/tenant.h"
 #include "serve/ticket.h"
 #include "serve/tile_grid.h"
 #include "util/clock.h"
+#include "util/mpmc_queue.h"
 #include "util/stats.h"
 
 namespace realm::obs {  // obs/trace.h, obs/metrics.h
@@ -90,8 +93,9 @@ struct ServeConfig {
   std::size_t queue_capacity = 64;
   /// Base seed for per-request fault streams (forked per stream, per tile).
   std::uint64_t seed = 0x5e44e;
-  /// Sliding-window span (samples) for the engine and per-tenant latency
-  /// quantiles and the per-tenant req/s rate.
+  /// Sliding-window span (samples): the engine-wide and per-tenant latency
+  /// quantiles cover the last `stats_window` completions, and each tenant's
+  /// req/s covers its last `stats_window` completion instants. Must be >= 1.
   std::size_t stats_window = 512;
   /// Deadline / rate-window time source; nullptr = real steady clock. Tests
   /// inject a util::ManualClock here to make expiry deterministic. Must
@@ -166,13 +170,15 @@ struct Response {
   bool expired = false;   ///< deadline passed while queued; output empty
 };
 
-/// Engine-wide accounting snapshot (see TenantStats for the per-tenant cut).
-/// The latency quantiles are sliding-window over the most recent
-/// `ServeConfig::stats_window` completions — NOT per-batch (there are no
-/// batches under continuous batching) and NOT whole-history (which goes
-/// stale); the `window_` prefix is deliberate so readers of the old
-/// per-batch `p50_ms`/`p99_ms` fields cannot silently misread them.
+/// Accounting snapshot: engine-wide from stats() (the sum of every tenant's
+/// row), or one tenant's row from tenant_stats(). The latency quantiles are
+/// sliding-window over the most recent `ServeConfig::stats_window`
+/// completions — NOT per-batch (there are no batches under continuous
+/// batching) and NOT whole-history (which goes stale); the `window_` prefix
+/// is deliberate so readers of the old per-batch `p50_ms`/`p99_ms` fields
+/// cannot silently misread them.
 struct ServeStats {
+  std::string tenant;           ///< tenant_stats(): the tenant; stats(): empty
   std::uint64_t submitted = 0;  ///< admitted tickets
   std::uint64_t rejected = 0;   ///< try_submit refused at admission
   std::uint64_t completed = 0;  ///< computed to a verdict
@@ -186,13 +192,26 @@ struct ServeStats {
   [[nodiscard]] std::uint64_t tiles_corrected() const noexcept {
     return tiles_patched + tiles_recomputed;
   }
+  // Request verdicts over completed requests. The worst-wins merge means a
+  // "patched" request healed every faulty tile via the cheap in-place patch,
+  // while "recomputed" means at least one tile needed the full replay.
+  std::uint64_t requests_faulty = 0;      ///< verdict != kClean
+  std::uint64_t requests_patched = 0;     ///< verdict == kPatched
+  std::uint64_t requests_recomputed = 0;  ///< verdict == kRecomputed
+  std::uint64_t requests_detected = 0;    ///< verdict == kDetected (uncorrected)
   /// Memory-hierarchy fault exposure summed over completed requests (the
-  /// request-time components; see BatchVerdict::component_flips).
+  /// request-time components; see BatchVerdict::component_flips). Load- and
+  /// rest-time weight and panel faults are grid state, not per request — see
+  /// TileGrid::memory_flips().
   fault::ComponentFlips component_flips{};
   util::RunningStat latency_ms;  ///< cumulative over completed requests
   double window_p50_ms = 0;      ///< sliding window, last stats_window completions
   double window_p99_ms = 0;      ///< sliding window, last stats_window completions
   std::size_t window_count = 0;  ///< samples currently in the window
+  /// Completions per second over a tenant's last stats_window completion
+  /// instants; 0 until two land (and while the clock stands still).
+  /// stats() reports the sum over tenants.
+  double req_per_s = 0;
 };
 
 class ServeEngine {
@@ -223,55 +242,63 @@ class ServeEngine {
   /// Block until the ticket is terminal, then consume it. Returns the
   /// response (check Response::expired for deadline losses); rethrows the
   /// worker's exception for kFailed tickets. A ticket can be waited on
-  /// exactly once.
+  /// exactly once: any other wait() on it — after it was consumed, or while
+  /// another thread is still waiting on it — throws std::invalid_argument.
   Response wait(Ticket ticket);
 
   /// Block until every admitted ticket has been retired (done, expired, or
   /// failed). New submissions during a drain extend it.
   void drain();
 
-  /// Synchronous compatibility shim on submit+wait: responses[i] answers
-  /// requests[i], with fault stream pinned to the batch index i — verdicts
-  /// and outputs are bit-identical to the pre-async batch engine and to an
-  /// async caller pinning the same streams, at any worker count. The first
-  /// worker exception is rethrown after the whole batch retires.
-  void serve(std::span<const Request> requests, std::vector<Response>& responses);
-
-  /// Allocating convenience overload.
-  [[nodiscard]] std::vector<Response> serve(std::span<const Request> requests);
-
+  /// Engine-wide accounting: every tenant row summed, plus the engine-wide
+  /// latency window.
   [[nodiscard]] ServeStats stats() const;
-  /// Reset the rolling accounting surface in three internally-consistent
-  /// steps: engine-wide counters + latency window (under the engine lock),
-  /// every tenant's sliding windows (under the book's lock; cumulative
-  /// per-tenant counters are append-only history and stay), and the metrics
-  /// registry if configured (serialized against expose(), so a concurrent
-  /// scrape sees the registry fully pre- or fully post-reset — never a torn
-  /// mixture; see obs/metrics.h). Each step is atomic under its own lock;
-  /// a reader interleaving between steps sees old-or-new per surface, which
-  /// is the documented "atomically-enough" contract.
+  /// Zero every tenant row, the engine-wide window and the attached metrics
+  /// registry in one critical section: a concurrent stats() or
+  /// tenant_stats() observes either the fully pre-reset or the fully
+  /// post-reset state. Tenants stay known to tenants() with zeroed rows.
   void reset_stats();
 
-  /// Snapshot one tenant's accounting; throws for a never-seen tenant.
-  [[nodiscard]] TenantStats tenant_stats(std::string_view tenant) const;
+  /// One tenant's row. Throws std::invalid_argument for a tenant that has
+  /// never been submitted — a typo'd dashboard key should fail loudly.
+  [[nodiscard]] ServeStats tenant_stats(std::string_view tenant) const;
+  /// Every tenant ever submitted (admitted or rejected), sorted.
   [[nodiscard]] std::vector<std::string> tenants() const;
 
   [[nodiscard]] const TileGrid& grid() const noexcept { return grid_; }
   [[nodiscard]] std::size_t workers() const noexcept { return threads_.size(); }
-  [[nodiscard]] std::size_t queue_depth() const { return sched_.depth(); }
+  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
  private:
   /// Ticket-table entry; guarded by mu_.
   struct Slot {
     TicketState state = TicketState::kQueued;
+    bool waited = false;  ///< a wait() has claimed this ticket
     Request request;
-    std::string tenant;
-    std::uint16_t tenant_id = 0;  ///< trace-event tenant tag (first-seen order)
+    std::size_t row = 0;  ///< tenant row; its uint16_t truncation tags trace events
     std::optional<util::TimePoint> deadline;
     util::TimePoint submitted_at{};  ///< engine-clock admit time (queue wait)
     std::uint64_t stream = 0;
     Response response;
     std::exception_ptr error;
+  };
+
+  /// One tenant's accounting; guarded by mu_. `totals` carries the counters
+  /// and the cumulative latency; its window fields stay unset (snapshots
+  /// fill them from the rings).
+  struct TenantRow {
+    explicit TenantRow(std::size_t window) : latency_window(window), done_s(window) {}
+    ServeStats totals;
+    util::SlidingWindow latency_window;
+    util::SlidingWindow done_s;  ///< completion instants, engine-clock seconds
+  };
+
+  /// Transparent hash so tenant lookups take the caller's string_view as is.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
   };
 
   /// Per-worker recycled buffers, keyed by activation row count so mixed
@@ -286,13 +313,13 @@ class ServeEngine {
   void worker_loop(std::size_t lane);
   void process(WorkerScratch& scratch, const Request& request, std::uint64_t stream,
                Response& response);
-  /// Stable small id for a tenant name (assigned in first-submission order);
-  /// caller must hold mu_.
-  std::uint16_t tenant_id_locked(const std::string& tenant);
+  /// Row index of a tenant, appending a row on first sight (rows are
+  /// numbered in first-submission order); caller must hold mu_.
+  std::size_t row_locked(std::string_view tenant);
 
   /// Metric handles resolved once at construction from cfg_.metrics (all
-  /// nullptr when unmetered). Increments are relaxed-atomic — no lock needed
-  /// beyond what the surrounding code already holds.
+  /// nullptr when unmetered). Bumped beside the row update they mirror, under
+  /// mu_, so reset_stats() zeroes both in one critical section.
   struct Metrics {
     obs::Counter* submitted = nullptr;
     obs::Counter* rejected = nullptr;
@@ -312,20 +339,19 @@ class ServeEngine {
   const TileGrid& grid_;
   const ServeConfig cfg_;
   const util::Clock* clock_;  ///< cfg_.clock or the process-wide steady clock
-  Scheduler sched_;
-  TenantBook tenants_;
+  util::PriorityMpmcQueue<std::uint64_t> queue_;  ///< ticket ids, one lane per Priority
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;  ///< state transitions; wait()/drain() park here
   std::unordered_map<std::uint64_t, Slot> slots_;
-  std::unordered_map<std::string, std::uint16_t> tenant_ids_;  ///< guarded by mu_
   std::uint64_t next_id_ = 1;  ///< ticket ids; id-1 is the default stream tag
   std::size_t inflight_ = 0;   ///< queued + running (drain()'s predicate)
   Metrics met_{};              ///< resolved handles; pointees are atomic
 
-  // Engine-wide accounting; guarded by mu_.
-  ServeStats counters_;               ///< window_* fields unused here (see stats())
-  util::SlidingWindow latency_window_;
+  // Accounting; guarded by mu_.
+  std::vector<TenantRow> rows_;
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>> row_of_;
+  util::SlidingWindow latency_window_;  ///< engine-wide, every tenant's completions
 
   std::vector<std::thread> threads_;
 };

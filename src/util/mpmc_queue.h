@@ -1,13 +1,16 @@
-// Bounded multi-producer / multi-consumer queue — the request-feed primitive
-// of the serving engine (realm::serve::ServeEngine).
+// Bounded multi-producer / multi-consumer queue with strict priority lanes —
+// the admission and scheduling primitive of the serving engine
+// (realm::serve::ServeEngine holds one over ticket ids, one lane per
+// serve::Priority).
 //
 // Semantics:
 //  * push() blocks while the queue is full and returns false (dropping the
 //    item) once the queue has been closed — producers cannot enqueue work the
-//    consumers will never see.
-//  * pop() blocks while the queue is empty and open; it drains remaining
-//    items after close() and only then returns false, so close() is a
-//    graceful "no more work" signal, never a discard.
+//    consumers will never see. try_push() is the non-blocking variant: full
+//    or closed means false, the reject path of admission control.
+//  * pop() blocks while every lane is empty and the queue is open; it drains
+//    remaining items after close() and only then returns false, so close()
+//    is a graceful "no more work" signal, never a discard.
 //  * close() is idempotent and wakes every blocked producer and consumer.
 //
 // The bound is the backpressure mechanism: a producer that outruns the
@@ -30,78 +33,6 @@
 
 namespace realm::util {
 
-template <typename T>
-class MpmcQueue {
- public:
-  explicit MpmcQueue(std::size_t capacity) : capacity_(capacity) {
-    if (capacity == 0) throw std::invalid_argument("MpmcQueue: capacity must be >= 1");
-  }
-
-  MpmcQueue(const MpmcQueue&) = delete;
-  MpmcQueue& operator=(const MpmcQueue&) = delete;
-
-  /// Blocks while full; enqueues and returns true, or returns false (item
-  /// dropped) if the queue is or becomes closed while waiting.
-  bool push(T item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while empty and open. Returns true with an item, or false once
-  /// the queue is closed AND drained (never discards a queued item).
-  bool pop(T& out) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return false;  // closed and drained
-      out = std::move(items_.front());
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return true;
-  }
-
-  /// Signal end of input: blocked producers return false, consumers drain
-  /// what remains and then return false. Idempotent.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
-/// MpmcQueue with strict priority lanes — the admission/scheduling primitive
-/// of the async serving engine.
-///
 /// Lane semantics:
 ///  * lane 0 is the most urgent; pop() always drains the lowest-numbered
 ///    non-empty lane first (strict priority, no aging — a saturated lane 0
@@ -111,10 +42,6 @@ class MpmcQueue {
 ///  * the capacity bound is TOTAL across lanes: one shared admission budget,
 ///    so a burst of low-priority traffic exerts backpressure on everyone —
 ///    the caller decides (via try_push) whether to reject instead of park.
-///
-/// push()/pop()/close() semantics otherwise match MpmcQueue: push parks while
-/// full and returns false once closed; pop drains every lane (in priority
-/// order) after close() before returning false; close() is idempotent.
 template <typename T>
 class PriorityMpmcQueue {
  public:

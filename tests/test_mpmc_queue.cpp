@@ -2,20 +2,28 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "realm_test.h"
 
-using realm::util::MpmcQueue;
 using realm::util::PriorityMpmcQueue;
 
+namespace {
+
+constexpr std::size_t kLanes = 3;
+
+/// Spreads a stream of items across every lane: item i rides lane i % kLanes.
+std::size_t lane_for(std::uint64_t i) { return static_cast<std::size_t>(i % kLanes); }
+
+}  // namespace
+
 REALM_TEST(fifo_order_and_close_semantics) {
-  MpmcQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) REALM_CHECK(q.push(i));
+  PriorityMpmcQueue<int> q(8, kLanes);
+  for (int i = 0; i < 5; ++i) REALM_CHECK(q.push(i, 1));
   REALM_CHECK_EQ(q.size(), std::size_t{5});
   q.close();
   // close() is a graceful end-of-input: queued items still drain, in order.
@@ -24,20 +32,20 @@ REALM_TEST(fifo_order_and_close_semantics) {
     REALM_CHECK(q.pop(v));
     REALM_CHECK_EQ(v, i);
   }
-  REALM_CHECK(!q.pop(v));      // closed and drained
-  REALM_CHECK(!q.push(99));    // producers see closed immediately
+  REALM_CHECK(!q.pop(v));       // closed and drained
+  REALM_CHECK(!q.push(99, 0));  // producers see closed immediately, on any lane
   REALM_CHECK(q.closed());
-  q.close();                   // idempotent
-  REALM_CHECK_THROWS(MpmcQueue<int>(0), std::invalid_argument);
+  q.close();                    // idempotent
 }
 
 REALM_TEST(capacity_bound_applies_backpressure) {
   // A capacity-1 queue forces the producer to park until the consumer pops:
-  // the queue depth can never exceed the bound, and nothing is lost.
-  MpmcQueue<int> q(1);
+  // the total depth can never exceed the bound, and nothing is lost. One
+  // lane keeps the arrival order observable.
+  PriorityMpmcQueue<int> q(1, kLanes);
   constexpr int kItems = 64;
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) q.push(i);
+    for (int i = 0; i < kItems; ++i) q.push(i, 2);
     q.close();
   });
   int v = -1;
@@ -52,13 +60,16 @@ REALM_TEST(capacity_bound_applies_backpressure) {
 }
 
 REALM_TEST(many_producers_many_consumers_deliver_each_item_once) {
-  MpmcQueue<std::uint64_t> q(4);
+  PriorityMpmcQueue<std::uint64_t> q(4, kLanes);
   constexpr std::uint64_t kProducers = 3, kConsumers = 4, kPerProducer = 200;
   std::atomic<std::uint64_t> popped_sum{0}, popped_count{0};
   std::vector<std::thread> threads;
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        const std::uint64_t v = p * kPerProducer + i;
+        q.push(v, lane_for(v));
+      }
     });
   }
   std::vector<std::thread> consumers;
@@ -81,13 +92,13 @@ REALM_TEST(many_producers_many_consumers_deliver_each_item_once) {
 
 REALM_TEST(close_with_queued_items_drains_before_reporting_end) {
   // Shutdown edge: close() with a full queue and concurrent consumers. Every
-  // queued item must still be delivered (in order, observed per consumer via
-  // a monotonicity check) before pop() starts returning false — close is
-  // end-of-input, not discard.
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 16; ++i) REALM_CHECK(q.push(i));
+  // queued item must still be delivered (in order within a lane, observed
+  // per consumer via a monotonicity check) before pop() starts returning
+  // false — close is end-of-input, not discard.
+  PriorityMpmcQueue<int> q(16, kLanes);
+  for (int i = 0; i < 16; ++i) REALM_CHECK(q.push(i, 0));
   q.close();
-  REALM_CHECK(!q.push(100));  // rejected while items are still queued
+  REALM_CHECK(!q.push(100, 0));  // rejected while items are still queued
   std::atomic<int> delivered{0};
   std::vector<std::thread> consumers;
   std::atomic<bool> order_ok{true};
@@ -114,15 +125,15 @@ REALM_TEST(close_releases_blocked_producers_and_consumers) {
   // Shutdown edge: threads parked inside push (queue full) and pop (queue
   // empty) when close() lands must both wake and return false — a missed
   // notify here is a hang, which the ctest timeout would surface.
-  MpmcQueue<int> full(1);
-  REALM_CHECK(full.push(0));
+  PriorityMpmcQueue<int> full(1, kLanes);
+  REALM_CHECK(full.push(0, 2));
   std::atomic<bool> push_result{true};
-  std::thread producer([&] { push_result = full.push(1); });  // parks: queue is full
-  MpmcQueue<int> empty(1);
+  std::thread producer([&] { push_result = full.push(1, 0); });  // parks: queue is full
+  PriorityMpmcQueue<int> empty(1, kLanes);
   std::atomic<bool> pop_result{true};
   std::thread consumer([&] {
     int v = -1;
-    pop_result = empty.pop(v);  // parks: queue is empty
+    pop_result = empty.pop(v);  // parks: every lane is empty
   });
   // Give both threads a chance to reach their condvar waits before closing.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -139,11 +150,12 @@ REALM_TEST(close_releases_blocked_producers_and_consumers) {
 
 REALM_TEST(stressed_mpmc_with_mid_stream_close_loses_nothing_already_queued) {
   // TSan-stressed shutdown: many producers race many consumers through a
-  // tiny queue while the main thread closes mid-stream. Accepted pushes and
-  // successful pops must balance exactly — close may refuse new items but
-  // can never drop an accepted one or double-deliver under contention.
+  // tiny queue, every lane in play, while the main thread closes mid-stream.
+  // Accepted pushes and successful pops must balance exactly — close may
+  // refuse new items but can never drop an accepted one or double-deliver
+  // under contention, whichever lane it sits in.
   constexpr int kProducers = 4, kConsumers = 4;
-  MpmcQueue<std::uint64_t> q(2);
+  PriorityMpmcQueue<std::uint64_t> q(2, kLanes);
   std::atomic<std::uint64_t> pushed_sum{0}, popped_sum{0};
   std::atomic<std::uint64_t> pushed_count{0}, popped_count{0};
   std::vector<std::thread> threads;
@@ -151,7 +163,7 @@ REALM_TEST(stressed_mpmc_with_mid_stream_close_loses_nothing_already_queued) {
     threads.emplace_back([&, p] {
       for (std::uint64_t i = 1; i <= 500; ++i) {
         const std::uint64_t v = static_cast<std::uint64_t>(p) * 1000 + i;
-        if (!q.push(v)) break;  // close() observed: stop producing
+        if (!q.push(v, lane_for(v))) break;  // close() observed: stop producing
         pushed_sum.fetch_add(v, std::memory_order_relaxed);
         pushed_count.fetch_add(1, std::memory_order_relaxed);
       }
@@ -172,7 +184,7 @@ REALM_TEST(stressed_mpmc_with_mid_stream_close_loses_nothing_already_queued) {
   REALM_CHECK_EQ(popped_count.load(), pushed_count.load());
   REALM_CHECK_EQ(popped_sum.load(), pushed_sum.load());
   std::uint64_t v = 0;
-  REALM_CHECK(!q.pop(v));  // nothing stranded in the ring
+  REALM_CHECK(!q.pop(v));  // nothing stranded in any lane
 }
 
 REALM_TEST(priority_lanes_pop_in_priority_order) {

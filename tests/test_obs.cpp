@@ -489,14 +489,13 @@ REALM_TEST(engine_reset_stats_resets_tenant_windows_and_registry) {
 
   engine.reset_stats();
 
-  // All three surfaces zeroed: engine-wide counters + window, the tenant's
-  // sliding window (cumulative per-tenant history survives by contract), and
-  // the registry.
+  // One reset zeroes everything: the engine-wide sum and window, the
+  // tenant's row (counters and window alike), and the registry.
   REALM_CHECK_EQ(engine.stats().completed, std::uint64_t{0});
   REALM_CHECK_EQ(engine.stats().window_count, std::size_t{0});
-  const realm::serve::TenantStats ts = engine.tenant_stats("t");
+  const realm::serve::ServeStats ts = engine.tenant_stats("t");
   REALM_CHECK_EQ(ts.window_count, std::size_t{0});
-  REALM_CHECK_EQ(ts.completed, std::uint64_t{4});  // cumulative history stays
+  REALM_CHECK_EQ(ts.completed, std::uint64_t{0});
   const std::string text = reg.expose();
   REALM_CHECK(text.find("realm_serve_requests_total{state=\"completed\"} 0") !=
               std::string::npos);

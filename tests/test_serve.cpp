@@ -2,16 +2,22 @@
 #include "serve/tile_grid.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "detect/detect.h"
 #include "fault/fault.h"
+#include "fault/memory.h"
+#include "obs/metrics.h"
 #include "realm_test.h"
 #include "serve/ticket.h"
 #include "tensor/quant.h"
@@ -93,6 +99,45 @@ class RecordingInjector final : public FaultInjector {
   std::vector<int>* log_;
   std::mutex* mu_;
 };
+
+/// Batch helper on submit + wait: responses[i] answers requests[i], with the
+/// fault stream pinned to the batch index i, so a batch is bit-identical to
+/// any async run that pins the same streams, at any worker count. Every
+/// ticket is consumed before the first worker exception is rethrown.
+std::vector<Response> serve(ServeEngine& engine, const std::vector<Request>& requests) {
+  std::vector<Ticket> tickets;
+  tickets.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SubmitOptions options;
+    options.stream = i;
+    tickets.push_back(engine.submit(requests[i], options));
+  }
+  std::vector<Response> responses(requests.size());
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    try {
+      responses[i] = engine.wait(tickets[i]);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+  return responses;
+}
+
+/// Value of one series in a Prometheus exposition (`name{labels} value`
+/// line); UINT64_MAX when the series is absent.
+std::uint64_t series_value(const std::string& text, const std::string& series) {
+  const std::string key = series + " ";
+  std::size_t at = 0;
+  while ((at = text.find(key, at)) != std::string::npos) {
+    if (at == 0 || text[at - 1] == '\n') {
+      return std::stoull(text.substr(at + key.size()));
+    }
+    at += key.size();
+  }
+  return UINT64_MAX;
+}
 
 /// Golden reference for one request: the exact fault-stream contract the
 /// engine documents — seed forked by stream, then by tile inside the grid.
@@ -294,7 +339,7 @@ REALM_TEST(multi_tile_faults_aggregate_worst_verdict) {
 REALM_TEST(engine_deterministic_at_1_2_8_workers) {
   // The whole point of per-request forked fault streams: verdicts and outputs
   // are a pure function of (seed, request, stream) — identical at any worker
-  // count and any queue interleaving. This exercises the synchronous shim
+  // count and any queue interleaving. This exercises the batch helper
   // (stream pinned to the batch index) across worker counts.
   Rng rng(104);
   const std::size_t k = 32, n = 96, m = 8, nreq = 12;
@@ -323,7 +368,7 @@ REALM_TEST(engine_deterministic_at_1_2_8_workers) {
     scfg.queue_capacity = 3;  // force admission backpressure on the wider runs
     scfg.seed = 0xfeed;
     ServeEngine engine(grid, scfg);
-    runs.push_back(engine.serve(reqs));
+    runs.push_back(serve(engine, reqs));
     const ServeStats st = engine.stats();
     REALM_CHECK_EQ(st.submitted, std::uint64_t{nreq});
     REALM_CHECK_EQ(st.completed, std::uint64_t{nreq});
@@ -349,8 +394,8 @@ REALM_TEST(engine_deterministic_at_1_2_8_workers) {
 REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
   // Pinned streams make outputs independent of HOW requests reach the
   // engine: submit in seeded-random order, with random priorities and
-  // tenants, at 1/2/8 workers — every run must match the synchronous shim
-  // bit for bit, request for request.
+  // tenants, at 1/2/8 workers — every run must match the batch helper bit
+  // for bit, request for request.
   Rng rng(107);
   const std::size_t k = 32, n = 96, m = 8, nreq = 16;
   const MatI8 w8 = random_i8(k, n, rng);
@@ -373,7 +418,7 @@ REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
   ServeConfig ref_cfg;
   ref_cfg.seed = 0xcafe;
   ServeEngine ref_engine(grid, ref_cfg);
-  const std::vector<Response> ref = ref_engine.serve(reqs);
+  const std::vector<Response> ref = serve(ref_engine, reqs);
 
   Rng shuffle_rng(0x5eed);
   const Priority lanes[] = {Priority::kInteractive, Priority::kNormal, Priority::kBatch};
@@ -396,7 +441,7 @@ REALM_TEST(async_submit_matches_shim_under_randomized_interleavings) {
     std::vector<Ticket> tickets(nreq);
     for (const std::size_t i : order) {
       SubmitOptions opt;
-      opt.stream = i;  // pinned: the shim's stream for batch index i
+      opt.stream = i;  // pinned: the helper's stream for batch index i
       opt.priority = lanes[i % 3];
       opt.tenant = (i % 2 == 0) ? "even" : "odd";
       tickets[i] = engine.submit(reqs[i], opt);
@@ -499,7 +544,7 @@ REALM_TEST(deadline_expiry_edge_cases) {
   REALM_CHECK_EQ(st.expired, std::uint64_t{2});
   REALM_CHECK_EQ(st.completed, std::uint64_t{4});
   REALM_CHECK_EQ(st.failed, std::uint64_t{0});
-  const TenantStats ts = engine.tenant_stats(kDefaultTenant);
+  const ServeStats ts = engine.tenant_stats(kDefaultTenant);
   REALM_CHECK_EQ(ts.expired, std::uint64_t{2});
   REALM_CHECK_EQ(ts.completed, std::uint64_t{4});
 }
@@ -771,12 +816,11 @@ REALM_TEST(stats_window_slides_and_reset_clears) {
   scfg.stats_window = 4;  // tiny window so it demonstrably slides
   ServeEngine engine(grid, scfg);
   std::vector<Request> reqs(3, Request::borrow(a8, QuantParams{0.05f}, &mag));
-  std::vector<Response> responses;
-  engine.serve(reqs, responses);
+  (void)serve(engine, reqs);
   ServeStats st = engine.stats();
   REALM_CHECK_EQ(st.completed, std::uint64_t{3});
   REALM_CHECK_EQ(st.window_count, std::size_t{3});  // under capacity: all held
-  engine.serve(reqs, responses);
+  (void)serve(engine, reqs);
   st = engine.stats();
   REALM_CHECK_EQ(st.completed, std::uint64_t{6});
   REALM_CHECK_EQ(st.window_count, std::size_t{4});  // capped at the window span
@@ -818,7 +862,7 @@ REALM_TEST(misuse_is_rejected) {
 
   ServeEngine engine(grid, ServeConfig{});
   std::vector<Request> reqs(1);  // null activation
-  REALM_CHECK_THROWS(engine.serve(reqs), std::invalid_argument);
+  REALM_CHECK_THROWS(serve(engine, reqs), std::invalid_argument);
   // The async front door rejects the same misuse at submit time — the
   // lifetime-footgun death-test: a request with no activation never reaches
   // a worker.
@@ -827,7 +871,7 @@ REALM_TEST(misuse_is_rejected) {
 
   // An exception thrown from INSIDE a worker (dim mismatch surfaces in
   // run_quantized_into, past the up-front validation) must surface from
-  // wait() — and therefore from the shim — as the original type.
+  // wait() — and therefore from the batch helper — as the original type.
   ServeConfig two;
   two.workers = 2;
   two.queue_capacity = 1;
@@ -839,13 +883,199 @@ REALM_TEST(misuse_is_rejected) {
     r.qa = QuantParams{0.1f};
   }
   mixed[1].a8 = &bad_dims;
-  std::vector<Response> rsp;
-  REALM_CHECK_THROWS(multi.serve(mixed, rsp), std::invalid_argument);
+  REALM_CHECK_THROWS(serve(multi, mixed), std::invalid_argument);
   REALM_CHECK_EQ(multi.stats().failed, std::uint64_t{1});
-  // The failed ticket was consumed by the shim; the engine carries no
+  // The failed ticket was consumed by the helper; the engine carries no
   // orphaned slots and keeps serving.
   const Ticket ok = multi.submit(Request::borrow(a8, QuantParams{0.1f}));
   REALM_CHECK(!multi.wait(ok).expired);
+}
+
+REALM_TEST(second_concurrent_waiter_gets_invalid_argument) {
+  // Two threads wait() on one ticket while a gate holds it running. A ticket
+  // is consumed exactly once: one waiter gets the Response, the other gets
+  // std::invalid_argument — never a stray std::out_of_range from racing the
+  // winner to the slot it erases, and never a hang.
+  Rng rng(115);
+  const std::size_t k = 16, n = 24, m = 4;
+  const QuantParams qw{0.02f}, qa{0.05f};
+  TileGridConfig gcfg;
+  gcfg.tile_cols = n;  // single tile for the gate
+  const TileGrid grid(random_i8(k, n, rng), qw, gcfg);
+  const MatI8 a8 = random_i8(m, k, rng);
+
+  const GateInjector gate;
+  ServeConfig scfg;
+  scfg.workers = 1;
+  ServeEngine engine(grid, scfg);
+  const GateOpener opener{gate};
+
+  const Ticket t = engine.submit(Request::borrow(a8, qa, &gate));
+  REALM_CHECK(gate.wait_arrived(1));  // the ticket is running, held open
+  std::atomic<int> responses{0}, invalid{0}, other{0};
+  const auto waiter = [&] {
+    try {
+      (void)engine.wait(t);
+      ++responses;
+    } catch (const std::invalid_argument&) {
+      ++invalid;
+    } catch (...) {
+      ++other;
+    }
+  };
+  std::thread a(waiter);
+  std::thread b(waiter);
+  // Let both reach wait() while the ticket is still open.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  gate.open();
+  a.join();
+  b.join();
+  REALM_CHECK_EQ(responses.load(), 1);
+  REALM_CHECK_EQ(invalid.load(), 1);
+  REALM_CHECK_EQ(other.load(), 0);
+}
+
+REALM_TEST(one_record_per_event_sums_across_tenants_and_registry) {
+  // Every serve event is recorded once, in its tenant's row: stats() must be
+  // exactly the sum of the tenant_stats() rows, and an attached registry's
+  // series must read the same values. Two tenants carry injected
+  // accumulator and activation faults; one try_submit is rejected and one
+  // ManualClock deadline expires. Checked with a registry attached and
+  // without one; after reset_stats() everything reads 0.
+  Rng rng(116);
+  const std::size_t k = 32, n = 64, m = 8;
+  const QuantParams qw{0.02f}, qa{0.05f};
+  TileGridConfig gcfg;
+  gcfg.tile_cols = 16;  // 4 tiles per request
+  const TileGrid grid(random_i8(k, n, rng), qw, gcfg);
+  const MatI8 a8 = random_i8(m, k, rng);
+  const RandomBitFlipInjector flips(0.002, 20, 30);
+  MemoryFaultConfig mfc;
+  mfc.seed = 0x5eed;
+  mfc.activations.ber = 0.02;
+  const MemoryFaultModel memory(mfc);
+
+  using Count = std::uint64_t ServeStats::*;
+  struct Field {
+    const char* series;  ///< registry series, or nullptr for row-only counters
+    Count member;
+  };
+  const Field fields[] = {
+      {"realm_serve_requests_total{state=\"submitted\"}", &ServeStats::submitted},
+      {"realm_serve_requests_total{state=\"rejected\"}", &ServeStats::rejected},
+      {"realm_serve_requests_total{state=\"completed\"}", &ServeStats::completed},
+      {"realm_serve_requests_total{state=\"expired\"}", &ServeStats::expired},
+      {"realm_serve_requests_total{state=\"failed\"}", &ServeStats::failed},
+      {"realm_serve_tiles_total{outcome=\"screened\"}", &ServeStats::tiles_screened},
+      {"realm_serve_tiles_total{outcome=\"detected\"}", &ServeStats::tiles_detected},
+      {"realm_serve_tiles_total{outcome=\"patched\"}", &ServeStats::tiles_patched},
+      {"realm_serve_tiles_total{outcome=\"recomputed\"}", &ServeStats::tiles_recomputed},
+      {nullptr, &ServeStats::requests_faulty},
+      {nullptr, &ServeStats::requests_patched},
+      {nullptr, &ServeStats::requests_recomputed},
+      {nullptr, &ServeStats::requests_detected},
+  };
+
+  for (const bool metered : {true, false}) {
+    realm::obs::MetricsRegistry registry;
+    realm::util::ManualClock clock;
+    const GateInjector gate;
+    ServeConfig scfg;
+    scfg.workers = 1;
+    scfg.queue_capacity = 2;
+    scfg.seed = 0x1ed9e;
+    scfg.clock = &clock;
+    scfg.metrics = metered ? &registry : nullptr;
+    ServeEngine engine(grid, scfg);
+    const GateOpener opener{gate};
+
+    SubmitOptions alpha;
+    alpha.tenant = "alpha";
+    SubmitOptions beta;
+    beta.tenant = "beta";
+    const Ticket tg = engine.submit(Request::borrow(a8, qa, &gate), alpha);
+    REALM_CHECK(gate.wait_arrived(1));
+    // Queued behind the gate: one request already past its deadline, one
+    // faulty one; the queue is then full, so try_submit is shed.
+    SubmitOptions late = beta;
+    late.deadline = clock.now() - std::chrono::nanoseconds(1);
+    const Ticket texp = engine.submit(Request::borrow(a8, qa), late);
+    const Ticket tq = engine.submit(Request::borrow(a8, qa, &flips), alpha);
+    REALM_CHECK(!engine.try_submit(Request::borrow(a8, qa), beta).has_value());
+    gate.open();
+    (void)engine.wait(tg);
+    REALM_CHECK(engine.wait(texp).expired);
+    (void)engine.wait(tq);
+    // Faulty traffic for both tenants, one at a time so each completion
+    // lands at its own ManualClock instant (req/s needs a nonzero span).
+    for (std::size_t i = 0; i < 8; ++i) {
+      SubmitOptions opt = (i % 2 == 0) ? alpha : beta;
+      opt.stream = 100 + i;
+      (void)engine.wait(
+          engine.submit(Request::borrow(a8, qa, &flips, i % 4 < 2 ? &memory : nullptr), opt));
+      clock.advance(std::chrono::milliseconds(1));
+    }
+
+    const ServeStats st = engine.stats();
+    const ServeStats a = engine.tenant_stats("alpha");
+    const ServeStats b = engine.tenant_stats("beta");
+    REALM_CHECK(st.tenant.empty());
+    REALM_CHECK(a.tenant == "alpha" && b.tenant == "beta");
+    REALM_CHECK_EQ(st.rejected, std::uint64_t{1});
+    REALM_CHECK_EQ(st.expired, std::uint64_t{1});
+    REALM_CHECK_EQ(st.completed, std::uint64_t{10});
+    REALM_CHECK(st.requests_faulty > 0);
+    REALM_CHECK(st.tiles_corrected() > 0);
+    const auto act = static_cast<std::size_t>(Component::kActivations);
+    REALM_CHECK(st.component_flips[act] > 0);
+    REALM_CHECK(a.req_per_s > 0 && b.req_per_s > 0);
+    const std::string text = metered ? registry.expose() : std::string();
+    for (const Field& f : fields) {
+      REALM_CHECK_EQ(st.*f.member, a.*f.member + b.*f.member);
+      if (metered && f.series != nullptr) {
+        REALM_CHECK_EQ(series_value(text, f.series), st.*f.member);
+      }
+    }
+    for (std::size_t i = 0; i < realm::fault::kComponentCount; ++i) {
+      REALM_CHECK_EQ(st.component_flips[i], a.component_flips[i] + b.component_flips[i]);
+      if (metered) {
+        const std::string series =
+            std::string("realm_serve_component_flips_total{component=\"") +
+            realm::fault::to_string(static_cast<Component>(i)) + "\"}";
+        REALM_CHECK_EQ(series_value(text, series), st.component_flips[i]);
+      }
+    }
+    REALM_CHECK_EQ(st.latency_ms.count(), a.latency_ms.count() + b.latency_ms.count());
+    REALM_CHECK_EQ(st.latency_ms.count(), std::size_t{st.completed});
+    REALM_CHECK_EQ(st.window_count, a.window_count + b.window_count);
+    REALM_CHECK(st.req_per_s == a.req_per_s + b.req_per_s);
+    if (metered) {
+      REALM_CHECK_EQ(series_value(text, "realm_serve_request_latency_us_count"), st.completed);
+    }
+
+    engine.reset_stats();
+    const std::string zeroed = metered ? registry.expose() : std::string();
+    REALM_CHECK_EQ(engine.tenants().size(), std::size_t{2});  // rows zeroed, not forgotten
+    for (const ServeStats& z :
+         {engine.stats(), engine.tenant_stats("alpha"), engine.tenant_stats("beta")}) {
+      for (const Field& f : fields) {
+        REALM_CHECK_EQ(z.*f.member, std::uint64_t{0});
+        if (metered && f.series != nullptr) {
+          REALM_CHECK_EQ(series_value(zeroed, f.series), std::uint64_t{0});
+        }
+      }
+      for (const std::uint64_t flips_i : z.component_flips) {
+        REALM_CHECK_EQ(flips_i, std::uint64_t{0});
+      }
+      REALM_CHECK_EQ(z.latency_ms.count(), std::size_t{0});
+      REALM_CHECK_EQ(z.window_count, std::size_t{0});
+      REALM_CHECK(z.req_per_s == 0.0);
+    }
+    if (metered) {
+      REALM_CHECK_EQ(series_value(zeroed, "realm_serve_request_latency_us_count"),
+                     std::uint64_t{0});
+    }
+  }
 }
 
 REALM_TEST_MAIN()
