@@ -1,6 +1,7 @@
 #include "detect/correct.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tensor/checksum.h"
@@ -10,13 +11,6 @@
 namespace realm::detect::correct {
 
 namespace {
-
-/// One solved fault: subtract `delta` from acc(row, col).
-struct Patch {
-  std::size_t row = 0;
-  std::size_t col = 0;
-  std::int64_t delta = 0;
-};
 
 /// Solve the weighted-basis equation for one line (a column or a row):
 /// a single fault at weighted position p satisfies weighted = (p+1)·plain,
@@ -32,7 +26,62 @@ bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
   return true;
 }
 
+/// `current − delta` when it fits int32. The patched value is the
+/// algebraically reconstructed true element, which fits int32 when the solve
+/// was right; a value off the rails proves the solve wrong.
+bool patched_value(std::int64_t current, std::int64_t delta, std::int32_t& value) {
+  const std::int64_t v = util::sat_sub_i64(current, delta);
+  if (v < INT32_MIN || v > INT32_MAX) return false;
+  value = static_cast<std::int32_t>(v);
+  return true;
+}
+
 }  // namespace
+
+std::vector<Patch> solve_patches(std::span<const std::int64_t> dc,
+                                 std::span<const std::int64_t> wdc, std::vector<std::int64_t> dr,
+                                 std::vector<std::int64_t> wdr, const tensor::MatI32& acc,
+                                 int bits, bool saturate) {
+  const std::size_t m = dr.size();
+  const std::size_t n = dc.size();
+  std::vector<Patch> patches;
+
+  // Plan A — column solve: every column with a nonzero deviation is solved
+  // independently, so simultaneous faults in distinct columns (including
+  // several sharing one row) all patch in one pass. Each accepted patch is
+  // subtracted from the row-side residuals so Plan B only chases what the
+  // column solve could not see. `by_col[j]` indexes column j's patch.
+  constexpr std::size_t kNone = SIZE_MAX;
+  std::vector<std::size_t> by_col(n, kNone);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t r = 0;
+    std::int32_t value = 0;
+    if (dc[j] == 0 || !solve_line(dc[j], wdc[j], m, r) ||
+        !patched_value(acc(r, j), dc[j], value)) {
+      continue;
+    }
+    by_col[j] = patches.size();
+    patches.push_back({r, j, value, false});
+    dr[r] = util::width_sub(dr[r], dc[j], bits, saturate);
+    wdr[r] = util::width_sub(wdr[r], static_cast<std::int64_t>(j + 1) * dc[j], bits, saturate);
+  }
+
+  // Plan B — row solve over the residuals: catches the fault classes whose
+  // column statistics alias (two faults sharing a column, opposite-sign
+  // pairs that cancel in every column sum) but whose row deviations do not.
+  // A row patch may land on an element Plan A already patched; it then
+  // starts from that patch's value.
+  for (std::size_t i = 0; i < m; ++i) {
+    std::size_t c = 0;
+    if (dr[i] == 0 || !solve_line(dr[i], wdr[i], n, c)) continue;
+    const std::size_t prior = by_col[c];
+    const std::int64_t current =
+        prior != kNone && patches[prior].row == i ? patches[prior].value : acc(i, c);
+    std::int32_t value = 0;
+    if (patched_value(current, dr[i], value)) patches.push_back({i, c, value, true});
+  }
+  return patches;
+}
 
 PatchResult try_patch(const DetectionConfig& cfg,
                       const std::vector<std::int64_t>& predicted_cols, const tensor::MatI8& a8,
@@ -76,49 +125,19 @@ PatchResult try_patch(const DetectionConfig& cfg,
   const std::vector<std::int64_t> pred_wrows = tensor::predict_row_checksum(a8, w_row_wbasis);
   const std::vector<std::int64_t> obs_wrows = tensor::weighted_row_sums(acc);
 
+  std::vector<std::int64_t> wdc(n);
   std::vector<std::int64_t> wdr(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
-  }
+  for (std::size_t j = 0; j < n; ++j) wdc[j] = util::sat_sub_i64(obs_wcols[j], pred_wcols[j]);
+  for (std::size_t i = 0; i < m; ++i) wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
 
-  // Plan A — column solve: every column with a nonzero deviation is solved
-  // independently, so simultaneous faults in distinct columns (including
-  // several sharing one row) all patch in one pass. Each accepted patch is
-  // subtracted from the row-side residuals so Plan B only chases what the
-  // column solve could not see.
-  std::vector<Patch> patches;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (dc[j] == 0) continue;
-    const std::int64_t wdc = util::sat_sub_i64(obs_wcols[j], pred_wcols[j]);
-    std::size_t r = 0;
-    if (!solve_line(dc[j], wdc, m, r)) continue;
-    patches.push_back({r, j, dc[j]});
-    dr[r] = util::sat_sub_i64(dr[r], dc[j]);
-    wdr[r] = util::sat_sub_i64(wdr[r], static_cast<std::int64_t>(j + 1) * dc[j]);
-  }
-
-  // Plan B — row solve over the residuals: catches the fault classes whose
-  // column statistics alias (two faults sharing a column, opposite-sign
-  // pairs that cancel in every column sum) but whose row deviations do not.
-  for (std::size_t i = 0; i < m; ++i) {
-    if (dr[i] == 0) continue;
-    std::size_t c = 0;
-    if (!solve_line(dr[i], wdr[i], n, c)) continue;
-    patches.push_back({i, c, dr[i]});
-    res.used_row_solve = true;
-  }
-
-  // Apply. The patched value is the algebraically reconstructed true
-  // element, which by construction fits int32 when the solve was right; a
-  // value off the rails proves the solve was wrong, so skip it and let the
-  // recheck fail into recompute.
+  // Full-width int64 deviations: 64-bit saturate is exactly sat_sub_i64.
+  const std::vector<Patch> patches =
+      solve_patches(dc, wdc, std::move(dr), std::move(wdr), acc, 64, /*saturate=*/true);
   for (const Patch& p : patches) {
-    const std::int64_t patched =
-        util::sat_sub_i64(static_cast<std::int64_t>(acc(p.row, p.col)), p.delta);
-    if (patched < INT32_MIN || patched > INT32_MAX) continue;
-    acc(p.row, p.col) = static_cast<std::int32_t>(patched);
-    ++res.patches_applied;
+    acc(p.row, p.col) = p.value;
+    res.used_row_solve = res.used_row_solve || p.row_solve;
   }
+  res.patches_applied = patches.size();
 
   // Mandatory full re-screen: a patch is only trusted when the complete
   // criteria (MSD threshold, per-column deviations, row-side identity) come

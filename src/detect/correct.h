@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "detect/detect.h"
@@ -59,6 +60,32 @@ struct PatchResult {
   /// kNoFault, where nothing was mutated and nothing needs re-certifying).
   DetectionVerdict recheck;
 };
+
+/// One solved fault: acc(row, col) becomes `value`.
+struct Patch {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  std::int32_t value = 0;
+  bool row_solve = false;  ///< found by Plan B (the row-side solve)
+};
+
+/// The Plan A / Plan B weighted-basis solve over the deviations (observed −
+/// predicted) dc/wdc (plain/weighted, per column) and dr/wdr (per row). Plan
+/// A solves each column with a nonzero deviation on its own; Plan B solves
+/// each row over the residuals Plan A left. A patch whose value leaves int32
+/// proves its solve wrong and is dropped before it is charged to the row
+/// residuals. Every residual subtraction runs through util::width_sub at
+/// `bits` / `saturate` (the corrector passes 64 and true; the sa register
+/// model passes its datapath's width). `acc` is read only for the current
+/// values of the patched elements. Applying the returned patches in order
+/// reconstructs the solved accumulator; a later patch of the same element
+/// already accounts for the earlier one.
+[[nodiscard]] std::vector<Patch> solve_patches(std::span<const std::int64_t> dc,
+                                               std::span<const std::int64_t> wdc,
+                                               std::vector<std::int64_t> dr,
+                                               std::vector<std::int64_t> wdr,
+                                               const tensor::MatI32& acc, int bits,
+                                               bool saturate);
 
 /// Attempt the algebraic in-place correction of `acc` against the predicted
 /// column checksum. Reads the same inputs as screen_accumulator plus the

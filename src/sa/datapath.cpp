@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "detect/correct.h"
 #include "tensor/checksum_kernels.h"
 #include "tensor/gemm.h"
 
@@ -22,19 +23,6 @@ detect::DetectionConfig reference_screen_cfg(detect::DetectionConfig cfg) {
   cfg.patch_on_detect = false;
   cfg.recompute_on_detect = false;
   return cfg;
-}
-
-/// obs − pred through the same width-limited datapath the registers use.
-/// Wrap subtracts mod 2^64 first (unsigned arithmetic — both operands are
-/// register values, but their int64 difference could overflow at bits == 64)
-/// and truncates; saturate clamps at the rails like every register add.
-std::int64_t width_sub(std::int64_t obs, std::int64_t pred, int bits, Overflow overflow) {
-  if (overflow == Overflow::kWrap) {
-    // realm-lint: allow(sat-math): models the wrap datapath itself — mod-2^64 on purpose
-    const std::uint64_t d = static_cast<std::uint64_t>(obs) - static_cast<std::uint64_t>(pred);
-    return util::wrap_to_bits(static_cast<std::int64_t>(d), bits);
-  }
-  return util::clamp_to_bits(util::sat_sub_i64(obs, pred), bits);
 }
 
 /// Width-limited weighted line sums: out[line] = Σ pos·x routed through a Reg
@@ -63,16 +51,6 @@ void weighted_row_sums_width(const tensor::MatI32& m, const DatapathConfig& cfg,
     }
     out[i] = reg.value();
   }
-}
-
-/// Same single-fault solve as the int64 corrector: weighted = (pos+1)·plain.
-bool solve_line(std::int64_t plain, std::int64_t weighted, std::size_t extent,
-                std::size_t& index) {
-  if (plain == 0 || weighted % plain != 0) return false;
-  const std::int64_t pos1 = weighted / plain;
-  if (pos1 < 1 || static_cast<std::uint64_t>(pos1) > extent) return false;
-  index = static_cast<std::size_t>(pos1) - 1;
-  return true;
 }
 
 }  // namespace
@@ -127,7 +105,7 @@ ScreenResult screen_into(const tensor::MatI32& truth, const tensor::MatI32& faul
   Reg msd(cfg.bits, cfg.overflow);
   for (std::size_t j = 0; j < truth.cols(); ++j) {
     const std::int64_t d =
-        width_sub(scratch.obs_cols[j], scratch.pred_cols[j], cfg.bits, cfg.overflow);
+        util::width_sub(scratch.obs_cols[j], scratch.pred_cols[j], cfg.bits, sat);
     if (d != 0) ++res.nonzero_cols;
     msd.add(d);
   }
@@ -144,7 +122,7 @@ ScreenResult screen_into(const tensor::MatI32& truth, const tensor::MatI32& faul
     tensor::kernels::row_sums_i32_width(faulted.data(), faulted.rows(), faulted.cols(), cfg.bits,
                                         sat, scratch.obs_rows.data());
     for (std::size_t r = 0; r < truth.rows(); ++r) {
-      if (width_sub(scratch.obs_rows[r], scratch.pred_rows[r], cfg.bits, cfg.overflow) != 0) {
+      if (util::width_sub(scratch.obs_rows[r], scratch.pred_rows[r], cfg.bits, sat) != 0) {
         ++res.nonzero_rows;
       }
     }
@@ -178,46 +156,26 @@ bool simulate_patch(const tensor::MatI32& truth, const tensor::MatI32& faulted,
   weighted_row_sums_width(truth, cfg, wpred_rows);
   weighted_row_sums_width(faulted, cfg, wobs_rows);
 
-  std::vector<std::int64_t> dc(n), dr(m), wdr(m);
+  std::vector<std::int64_t> dc(n), wdc(n), dr(m), wdr(m);
   for (std::size_t j = 0; j < n; ++j) {
-    dc[j] = width_sub(obs_cols[j], pred_cols[j], cfg.bits, cfg.overflow);
+    dc[j] = util::width_sub(obs_cols[j], pred_cols[j], cfg.bits, sat);
+    wdc[j] = util::width_sub(wobs_cols[j], wpred_cols[j], cfg.bits, sat);
   }
   for (std::size_t i = 0; i < m; ++i) {
-    dr[i] = width_sub(obs_rows[i], pred_rows[i], cfg.bits, cfg.overflow);
-    wdr[i] = width_sub(wobs_rows[i], wpred_rows[i], cfg.bits, cfg.overflow);
+    dr[i] = util::width_sub(obs_rows[i], pred_rows[i], cfg.bits, sat);
+    wdr[i] = util::width_sub(wobs_rows[i], wpred_rows[i], cfg.bits, sat);
   }
 
-  // Plan A (per-column solve) then Plan B (row solve over the residuals) —
-  // the same construction as correct::try_patch, with every solve input and
-  // residual update kept in width arithmetic. A wrapped deviation that still
-  // divides exactly mis-solves; the truth comparison below catches it.
+  // The corrector's own solve, with every residual update kept in width
+  // arithmetic. A wrapped deviation that still divides exactly mis-solves;
+  // the truth comparison below catches it.
   tensor::MatI32 patched = faulted;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (dc[j] == 0) continue;
-    const std::int64_t wdc = width_sub(wobs_cols[j], wpred_cols[j], cfg.bits, cfg.overflow);
-    std::size_t r = 0;
-    if (!solve_line(dc[j], wdc, m, r)) continue;
-    const std::int64_t value =
-        util::sat_sub_i64(static_cast<std::int64_t>(patched(r, j)), dc[j]);
-    if (value < INT32_MIN || value > INT32_MAX) continue;
-    patched(r, j) = static_cast<std::int32_t>(value);
-    dr[r] = width_sub(dr[r], dc[j], cfg.bits, cfg.overflow);
-    wdr[r] = width_sub(wdr[r], static_cast<std::int64_t>(j + 1) * dc[j], cfg.bits, cfg.overflow);
+  for (const detect::correct::Patch& p :
+       detect::correct::solve_patches(dc, wdc, std::move(dr), std::move(wdr), faulted, cfg.bits,
+                                      sat)) {
+    patched(p.row, p.col) = p.value;
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    if (dr[i] == 0) continue;
-    std::size_t c = 0;
-    if (!solve_line(dr[i], wdr[i], n, c)) continue;
-    const std::int64_t value =
-        util::sat_sub_i64(static_cast<std::int64_t>(patched(i, c)), dr[i]);
-    if (value < INT32_MIN || value > INT32_MAX) continue;
-    patched(i, c) = static_cast<std::int32_t>(value);
-  }
-
-  for (std::size_t i = 0; i < m * n; ++i) {
-    if (patched.flat()[i] != truth.flat()[i]) return false;
-  }
-  return true;
+  return patched == truth;
 }
 
 SaProtectedGemm::SaProtectedGemm(std::vector<DatapathConfig> datapaths,

@@ -114,12 +114,13 @@ ScreenResult screen_into(const tensor::MatI32& truth, const tensor::MatI32& faul
 /// Simulate the weighted-basis algebraic correction (detect/correct.h) with
 /// every deviation — plain and weighted, column and row — routed through
 /// width-limited registers of `cfg`'s width and overflow semantics (weighted
-/// sums accumulate through `Reg` in the array's drain order). The solve and
-/// the patch application are the same Plan A / Plan B construction the int64
-/// corrector runs; success means the patched copy equals `truth` EXACTLY.
-/// At bits == 64 this reproduces the exact corrector (single faults always
-/// patch); at reduced widths wrapped/saturated deviations mis-solve and the
-/// comparison fails — the correction-coverage loss the sweep measures.
+/// sums accumulate through `Reg` in the array's drain order). The solve is
+/// the corrector's own correct::solve_patches, with residual updates in the
+/// same width arithmetic; success means the patched copy equals `truth`
+/// EXACTLY. At bits == 64 this heals a trial exactly when correct::try_patch
+/// does (single faults always patch); at reduced widths wrapped/saturated
+/// deviations mis-solve and the comparison fails — the correction-coverage
+/// loss the sweep measures.
 /// Correction always uses both checksum sides (localization needs them),
 /// independent of DatapathConfig::two_sided.
 [[nodiscard]] bool simulate_patch(const tensor::MatI32& truth, const tensor::MatI32& faulted,
@@ -136,8 +137,9 @@ struct SaRunResult {
   /// copy disagrees with the truth) — 1 is the single-fault class whose
   /// full-width patch rate the CI gate pins at 100%.
   std::size_t faulty_elems = 0;
-  /// Full-width (exact) patch simulation healed this trial — what the int64
-  /// in-place corrector achieves on the same faulted accumulator.
+  /// The 64-bit patch simulation healed this trial. It runs the corrector's
+  /// own solve on exact deviations, so this is exactly what correct::try_patch
+  /// achieves on the same faulted accumulator (pinned by test_sa).
   bool reference_patched = false;
   /// Full-width int64 screen of the same faulted accumulator — what the
   /// software reference concludes (verdict is kClean or kDetected; this

@@ -70,13 +70,6 @@ TileGrid::TileGrid(const tensor::MatI8& w8, tensor::QuantParams qw, TileGridConf
   build(w8, qw);
 }
 
-TileGrid::TileGrid(const tensor::MatF& w, TileGridConfig cfg) : cfg_(cfg) {
-  // One scale for the whole matrix: per-tile calibration would give each
-  // shard a different scale and break bit-identity with an unsharded run.
-  const tensor::QuantParams qw = tensor::calibrate(w.flat());
-  build(tensor::quantize(w, qw), qw);
-}
-
 void TileGrid::emit_instant(obs::SpanKind kind, std::size_t t) const {
   if constexpr (obs::kTraceCompiledIn) {
     if (cfg_.tracer == nullptr) return;

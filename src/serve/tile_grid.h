@@ -149,11 +149,6 @@ class TileGrid {
   /// numerically identical to an unsharded ProtectedGemm on the same matrix.
   TileGrid(const tensor::MatI8& w8, tensor::QuantParams qw, TileGridConfig cfg = {});
 
-  /// Float weights: calibrate ONE scale over the whole matrix, then shard.
-  /// (Per-tile calibration would give tiles different scales and break the
-  /// bit-identity with an unsharded run.)
-  explicit TileGrid(const tensor::MatF& w, TileGridConfig cfg = {});
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }  ///< k
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }  ///< n
   [[nodiscard]] std::size_t tile_count() const noexcept { return widths_.size(); }

@@ -36,15 +36,14 @@ std::int64_t* fused_buffer(std::vector<std::int64_t>* fused, std::size_t n) {
 }  // namespace
 
 void gemm_i8(const MatI8& a, const MatI8& b, MatI32& c,
-             std::vector<std::int64_t>* fused_col_sums,
-             std::vector<std::int64_t>* fused_wcol_sums) {
+             std::vector<std::int64_t>* fused_col_sums) {
   check_gemm_dims(a.cols(), b.rows());
   check_i8_k_bound(a.cols());
   const std::size_t m = a.rows();
   const std::size_t n = b.cols();
   if (c.rows() != m || c.cols() != n) c = MatI32(m, n);
   kernels::gemm_i8(a.data(), b.data(), c.data(), m, a.cols(), n,
-                   fused_buffer(fused_col_sums, n), fused_buffer(fused_wcol_sums, n));
+                   fused_buffer(fused_col_sums, n));
 }
 
 MatI32 gemm_i8(const MatI8& a, const MatI8& b) {
@@ -54,33 +53,14 @@ MatI32 gemm_i8(const MatI8& a, const MatI8& b) {
 }
 
 void gemm_i8_prepacked(const MatI8& a, const MatI8& b, const kernels::PackedB& pb, MatI32& c,
-                       std::vector<std::int64_t>* fused_col_sums,
-                       std::vector<std::int64_t>* fused_wcol_sums) {
+                       std::vector<std::int64_t>* fused_col_sums) {
   check_gemm_dims(a.cols(), b.rows());
   check_i8_k_bound(a.cols());
   const std::size_t m = a.rows();
   const std::size_t n = b.cols();
   if (c.rows() != m || c.cols() != n) c = MatI32(m, n);
   kernels::gemm_i8_prepacked(a.data(), b.data(), pb, c.data(), m, a.cols(), n,
-                             fused_buffer(fused_col_sums, n), fused_buffer(fused_wcol_sums, n));
-}
-
-void gemm_i8_bt(const MatI8& a, const MatI8& bt, MatI32& c,
-                std::vector<std::int64_t>* fused_col_sums,
-                std::vector<std::int64_t>* fused_wcol_sums) {
-  check_gemm_dims(a.cols(), bt.cols());
-  check_i8_k_bound(a.cols());
-  const std::size_t m = a.rows();
-  const std::size_t n = bt.rows();
-  if (c.rows() != m || c.cols() != n) c = MatI32(m, n);
-  kernels::gemm_i8_bt(a.data(), bt.data(), c.data(), m, a.cols(), n,
-                      fused_buffer(fused_col_sums, n), fused_buffer(fused_wcol_sums, n));
-}
-
-MatI32 gemm_i8_bt(const MatI8& a, const MatI8& bt) {
-  MatI32 c(a.rows(), bt.rows());
-  gemm_i8_bt(a, bt, c);
-  return c;
+                             fused_buffer(fused_col_sums, n));
 }
 
 MatF gemm_f32(const MatF& a, const MatF& b) {

@@ -7,17 +7,13 @@
 // bit: a scheduling- or ISA-dependent output would be indistinguishable from
 // the faults this repository exists to detect.
 //
-// Output contract (identical for gemm_i8 and gemm_i8_bt): `c` is resized if
-// mis-shaped, then FULLY OVERWRITTEN without ever being read — callers never
-// need to zero it. (Before the kernel layer, gemm_i8 zero-filled `c` and
-// accumulated while gemm_i8_bt overwrote; the asymmetry is gone.)
+// Output contract: `c` is resized if mis-shaped, then FULLY OVERWRITTEN
+// without ever being read — callers never need to zero it.
 //
 // Each variant optionally emits the fused eᵀC column reduction: pass
 // `fused_col_sums` and it is resized to n and filled with col_sums of the C
 // this call writes, accumulated in the kernels' store phase (no second pass
 // over C). Bit-identical to tensor::col_sums(c) at every tier/thread count.
-// `fused_wcol_sums` likewise emits the weighted uᵀC reduction (u = [1,2,…]),
-// the second ABFT checksum basis — bit-identical to weighted_col_sums(c).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +35,7 @@ inline constexpr std::size_t kMaxK = std::size_t{1} << 16;
 /// C[m x n] = A[m x k] * B[k x n], int8 inputs, int32 accumulation.
 /// Throws std::invalid_argument if k > kMaxK.
 void gemm_i8(const MatI8& a, const MatI8& b, MatI32& c,
-             std::vector<std::int64_t>* fused_col_sums = nullptr,
-             std::vector<std::int64_t>* fused_wcol_sums = nullptr);
+             std::vector<std::int64_t>* fused_col_sums = nullptr);
 
 /// Convenience allocating overload.
 [[nodiscard]] MatI32 gemm_i8(const MatI8& a, const MatI8& b);
@@ -50,15 +45,7 @@ void gemm_i8(const MatI8& a, const MatI8& b, MatI32& c,
 /// gemm_i8(a, b, c); `pb` that mismatches the active tier or B's shape is
 /// ignored and the call packs fresh.
 void gemm_i8_prepacked(const MatI8& a, const MatI8& b, const kernels::PackedB& pb, MatI32& c,
-                       std::vector<std::int64_t>* fused_col_sums = nullptr,
-                       std::vector<std::int64_t>* fused_wcol_sums = nullptr);
-
-/// C[m x n] = A[m x k] * B^T where bt is stored [n x k] (row-major). Used for
-/// attention scores Q*K^T where K rows are cache entries.
-void gemm_i8_bt(const MatI8& a, const MatI8& bt, MatI32& c,
-                std::vector<std::int64_t>* fused_col_sums = nullptr,
-                std::vector<std::int64_t>* fused_wcol_sums = nullptr);
-[[nodiscard]] MatI32 gemm_i8_bt(const MatI8& a, const MatI8& bt);
+                       std::vector<std::int64_t>* fused_col_sums = nullptr);
 
 /// FP32 reference GEMM (tests and golden comparisons only).
 [[nodiscard]] MatF gemm_f32(const MatF& a, const MatF& b);

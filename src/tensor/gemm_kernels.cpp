@@ -73,34 +73,6 @@ void pack_b_panels(const std::int8_t* b, std::size_t k, std::size_t n, std::size
   }
 }
 
-/// Same layout from B^T stored [n x k] row-major (gemm_i8_bt). Reads stream
-/// along bt rows, writes stride through the panel.
-void pack_bt_panels(const std::int8_t* bt, std::size_t k, std::size_t n, std::size_t nr,
-                    std::int16_t* out) {
-  const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t panels = (n + nr - 1) / nr;
-  for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t j0 = p * nr;
-    const std::size_t jw = std::min(nr, n - j0);
-    std::int16_t* po = out + p * kpairs * 2 * nr;
-    for (std::size_t j = 0; j < jw; ++j) {
-      const std::int8_t* row = bt + (j0 + j) * k;
-      for (std::size_t kp = 0; kp < kpairs; ++kp) {
-        std::int16_t* dst = po + kp * 2 * nr + 2 * j;
-        dst[0] = row[2 * kp];
-        dst[1] = (2 * kp + 1 < k) ? row[2 * kp + 1] : std::int16_t{0};
-      }
-    }
-    for (std::size_t j = jw; j < nr; ++j) {
-      for (std::size_t kp = 0; kp < kpairs; ++kp) {
-        std::int16_t* dst = po + kp * 2 * nr + 2 * j;
-        dst[0] = 0;
-        dst[1] = 0;
-      }
-    }
-  }
-}
-
 /// Sign-extend rows [i0, i1) of A to int16, zero-padding odd k to kpad.
 void pack_a_i16(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size_t i0,
                 std::size_t i1, std::int16_t* out) {
@@ -153,25 +125,6 @@ void portable_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, 
         const std::int8_t* brow = b + kk * n;
         for (std::size_t j = 0; j < n; ++j) crow[j] += av * static_cast<std::int32_t>(brow[j]);
       }
-    }
-  }
-  if (csum) csum_rows(c, n, i0, i1, csum);
-}
-
-void portable_bt_rows(const std::int8_t* a, const std::int8_t* bt, std::int32_t* c,
-                      std::size_t k, std::size_t n, std::size_t i0, std::size_t i1,
-                      std::int64_t* csum) {
-  // Dot-product form: both operands stream contiguously along k.
-  for (std::size_t i = i0; i < i1; ++i) {
-    const std::int8_t* arow = a + i * k;
-    std::int32_t* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = bt + j * k;
-      std::int32_t acc = 0;
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int32_t>(arow[kk]) * static_cast<std::int32_t>(brow[kk]);
-      }
-      crow[j] = acc;
     }
   }
   if (csum) csum_rows(c, n, i0, i1, csum);
@@ -447,48 +400,27 @@ std::atomic<Tier>& tier_slot() {
 /// `csum` requested, each shard reduces into a private partial merged under a
 /// lock — int64 addition is associative and commutative, so the merged sums
 /// are bit-identical at every thread count and merge order.
-///
-/// With `wcsum` also requested, the weighted reduction uᵀC (u = [1,2,3,…]) is
-/// folded at shard granularity right after the shard's kernel finishes: the C
-/// rows it just stored are still cache-hot, and the row weight (i+1) depends
-/// only on the global row index, so shard partials merge exactly like the
-/// plain sums — bit-identical at every tier and thread count.
 template <typename Rows>
-void shard_rows_fused(std::size_t m, std::size_t n, const std::int32_t* c, std::int64_t* csum,
-                      std::int64_t* wcsum, const Rows& rows) {
-  if (!csum && !wcsum) {
+void shard_rows_fused(std::size_t m, std::size_t n, std::int64_t* csum, const Rows& rows) {
+  if (!csum) {
     util::global_pool().parallel_for(
         m, kRowGrain, [&](std::size_t i0, std::size_t i1) { rows(i0, i1, nullptr); });
     return;
   }
   std::mutex mu;
   util::global_pool().parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
-    std::vector<std::int64_t> local(csum ? n : 0, 0);
-    rows(i0, i1, csum ? local.data() : nullptr);
-    std::vector<std::int64_t> wlocal(wcsum ? n : 0, 0);
-    if (wcsum) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        const std::int32_t* crow = c + i * n;
-        const auto w = static_cast<std::int64_t>(i + 1);
-        for (std::size_t j = 0; j < n; ++j) wlocal[j] += w * static_cast<std::int64_t>(crow[j]);
-      }
-    }
+    std::vector<std::int64_t> local(n, 0);
+    rows(i0, i1, local.data());
     const std::lock_guard<std::mutex> lock(mu);
-    if (csum) {
-      for (std::size_t j = 0; j < n; ++j) csum[j] += local[j];
-    }
-    if (wcsum) {
-      for (std::size_t j = 0; j < n; ++j) wcsum[j] += wlocal[j];
-    }
+    for (std::size_t j = 0; j < n; ++j) csum[j] += local[j];
   });
 }
 
 #if REALM_X86
 /// Row-shard the macro-loop over already-packed panels.
 void run_simd_rows(Tier t, const std::int8_t* a, const std::int16_t* pb, std::int32_t* c,
-                   std::size_t m, std::size_t k, std::size_t n, std::int64_t* csum,
-                   std::int64_t* wcsum) {
-  shard_rows_fused(m, n, c, csum, wcsum, [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
+                   std::size_t m, std::size_t k, std::size_t n, std::int64_t* csum) {
+  shard_rows_fused(m, n, csum, [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
     if (t == Tier::kAvx512) {
       avx512_rows(a, pb, c, k, n, i0, i1, cs);
     } else {
@@ -497,34 +429,6 @@ void run_simd_rows(Tier t, const std::int8_t* a, const std::int16_t* pb, std::in
   });
 }
 #endif
-
-/// Shared SIMD driver for both storage orders of B: pack B once (serial,
-/// O(k*n)), then row-shard the macro-loop across the global pool.
-void gemm_simd(Tier t, const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-               std::size_t m, std::size_t k, std::size_t n, bool b_transposed,
-               std::int64_t* csum, std::int64_t* wcsum) {
-#if REALM_X86
-  const std::size_t nr = nr_for(t);
-  const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t panels = (n + nr - 1) / nr;
-  std::vector<std::int16_t> pb(panels * kpairs * 2 * nr);
-  if (b_transposed) {
-    pack_bt_panels(b, k, n, nr, pb.data());
-  } else {
-    pack_b_panels(b, k, n, nr, pb.data());
-  }
-  run_simd_rows(t, a, pb.data(), c, m, k, n, csum, wcsum);
-#else
-  (void)t;
-  shard_rows_fused(m, n, c, csum, wcsum, [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
-    if (b_transposed) {
-      portable_bt_rows(a, b, c, k, n, i0, i1, cs);
-    } else {
-      portable_rows(a, b, c, k, n, i0, i1, cs);
-    }
-  });
-#endif
-}
 
 }  // namespace
 
@@ -553,23 +457,28 @@ void set_active_tier(Tier t) {
 }
 
 void gemm_i8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::size_t m,
-             std::size_t k, std::size_t n, std::int64_t* col_sums, std::int64_t* wcol_sums) {
+             std::size_t k, std::size_t n, std::int64_t* col_sums) {
   if (col_sums) std::fill_n(col_sums, n, std::int64_t{0});
-  if (wcol_sums) std::fill_n(wcol_sums, n, std::int64_t{0});
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::memset(c, 0, m * n * sizeof(std::int32_t));
     return;
   }
+#if REALM_X86
   const Tier t = active_tier();
-  if (t == Tier::kPortable) {
-    shard_rows_fused(m, n, c, col_sums, wcol_sums,
-                     [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
-                       portable_rows(a, b, c, k, n, i0, i1, cs);
-                     });
+  if (t != Tier::kPortable) {
+    // Pack B once (serial, O(k*n)), then row-shard the macro-loop.
+    const std::size_t nr = nr_for(t);
+    const std::size_t kpairs = (k + 1) / 2;
+    std::vector<std::int16_t> pb((n + nr - 1) / nr * kpairs * 2 * nr);
+    pack_b_panels(b, k, n, nr, pb.data());
+    run_simd_rows(t, a, pb.data(), c, m, k, n, col_sums);
     return;
   }
-  gemm_simd(t, a, b, c, m, k, n, /*b_transposed=*/false, col_sums, wcol_sums);
+#endif
+  shard_rows_fused(m, n, col_sums, [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
+    portable_rows(a, b, c, k, n, i0, i1, cs);
+  });
 }
 
 PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n) {
@@ -593,45 +502,22 @@ PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n) {
 
 void gemm_i8_prepacked(const std::int8_t* a, const std::int8_t* b, const PackedB& pb,
                        std::int32_t* c, std::size_t m, std::size_t k, std::size_t n,
-                       std::int64_t* col_sums, std::int64_t* wcol_sums) {
+                       std::int64_t* col_sums) {
   if (m == 0 || n == 0) {
     if (col_sums) std::fill_n(col_sums, n, std::int64_t{0});
-    if (wcol_sums) std::fill_n(wcol_sums, n, std::int64_t{0});
     return;
   }
 #if REALM_X86
   const Tier t = active_tier();
   if (k > 0 && t != Tier::kPortable && pb.valid_for(t, k, n)) {
     if (col_sums) std::fill_n(col_sums, n, std::int64_t{0});
-    if (wcol_sums) std::fill_n(wcol_sums, n, std::int64_t{0});
-    run_simd_rows(t, a, pb.panels_.data(), c, m, k, n, col_sums, wcol_sums);
+    run_simd_rows(t, a, pb.panels_.data(), c, m, k, n, col_sums);
     return;
   }
 #else
   (void)pb;
 #endif
-  gemm_i8(a, b, c, m, k, n, col_sums, wcol_sums);
-}
-
-void gemm_i8_bt(const std::int8_t* a, const std::int8_t* bt, std::int32_t* c, std::size_t m,
-                std::size_t k, std::size_t n, std::int64_t* col_sums,
-                std::int64_t* wcol_sums) {
-  if (col_sums) std::fill_n(col_sums, n, std::int64_t{0});
-  if (wcol_sums) std::fill_n(wcol_sums, n, std::int64_t{0});
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::memset(c, 0, m * n * sizeof(std::int32_t));
-    return;
-  }
-  const Tier t = active_tier();
-  if (t == Tier::kPortable) {
-    shard_rows_fused(m, n, c, col_sums, wcol_sums,
-                     [&](std::size_t i0, std::size_t i1, std::int64_t* cs) {
-                       portable_bt_rows(a, bt, c, k, n, i0, i1, cs);
-                     });
-    return;
-  }
-  gemm_simd(t, a, bt, c, m, k, n, /*b_transposed=*/true, col_sums, wcol_sums);
+  gemm_i8(a, b, c, m, k, n, col_sums);
 }
 
 }  // namespace realm::tensor::kernels

@@ -22,8 +22,7 @@
 // disjoint. The macro-loop is row-sharded across util::global_pool().
 //
 // C is FULLY OVERWRITTEN and never read — callers need not (and should not)
-// zero it first. This is the contract both tensor::gemm_i8 and
-// tensor::gemm_i8_bt expose.
+// zero it first. This is the contract tensor::gemm_i8 exposes.
 //
 // Fused eᵀC reduction: every entry point takes an optional `col_sums` buffer
 // (length n). When non-null it is fully overwritten with the per-column int64
@@ -33,13 +32,6 @@
 // partials merged under a lock; int64 addition is associative and
 // commutative, so the fused sums are bit-identical to col_sums(C) at every
 // tier, thread count, and merge order.
-//
-// Each entry point also takes an optional `wcol_sums` buffer (length n): the
-// WEIGHTED column reduction uᵀC with u = [1,2,3,…] — the second checksum
-// basis of the multi-fault ABFT construction (src/detect/correct.h). It is
-// folded per row shard right after the shard's C rows are stored (the rows
-// are still cache-hot), merged under the same lock, and carries the same
-// bit-identity guarantee.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +53,7 @@ enum class Tier : std::uint8_t {
 /// probed once via CPUID/XGETBV. Always at least kPortable.
 [[nodiscard]] Tier best_supported_tier() noexcept;
 
-/// Tier used by gemm_i8/gemm_i8_bt. Defaults to best_supported_tier(); the
+/// Tier used by gemm_i8. Defaults to best_supported_tier(); the
 /// REALM_KERNEL environment variable (portable|avx2|avx512) overrides the
 /// default at first use.
 [[nodiscard]] Tier active_tier() noexcept;
@@ -73,11 +65,9 @@ void set_active_tier(Tier t);
 /// c[m x n] = a[m x k] * b[k x n], all row-major, int8 inputs, int32
 /// accumulation. c is fully overwritten. Dimension/overflow validation is the
 /// caller's job (tensor::gemm_i8 enforces kMaxK). Non-null `col_sums`
-/// (length n) receives the fused eᵀC reduction; non-null `wcol_sums`
-/// (length n) the fused weighted uᵀC reduction (see file comment).
+/// (length n) receives the fused eᵀC reduction (see file comment).
 void gemm_i8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::size_t m,
-             std::size_t k, std::size_t n, std::int64_t* col_sums = nullptr,
-             std::int64_t* wcol_sums = nullptr);
+             std::size_t k, std::size_t n, std::int64_t* col_sums = nullptr);
 
 /// Pre-packed SIMD panels of a stationary B operand (the accelerator's
 /// weight-resident model: pay the O(k*n) pack once per weight tile, not once
@@ -114,7 +104,7 @@ class PackedB {
   friend PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n);
   friend void gemm_i8_prepacked(const std::int8_t* a, const std::int8_t* b, const PackedB& pb,
                                 std::int32_t* c, std::size_t m, std::size_t k, std::size_t n,
-                                std::int64_t* col_sums, std::int64_t* wcol_sums);
+                                std::int64_t* col_sums);
 
   Tier tier_ = Tier::kPortable;
   std::size_t k_ = 0;
@@ -130,11 +120,6 @@ class PackedB {
 /// the non-prepacked path in every case.
 void gemm_i8_prepacked(const std::int8_t* a, const std::int8_t* b, const PackedB& pb,
                        std::int32_t* c, std::size_t m, std::size_t k, std::size_t n,
-                       std::int64_t* col_sums = nullptr, std::int64_t* wcol_sums = nullptr);
-
-/// c[m x n] = a[m x k] * bt^T where bt is stored [n x k] row-major.
-void gemm_i8_bt(const std::int8_t* a, const std::int8_t* bt, std::int32_t* c, std::size_t m,
-                std::size_t k, std::size_t n, std::int64_t* col_sums = nullptr,
-                std::int64_t* wcol_sums = nullptr);
+                       std::int64_t* col_sums = nullptr);
 
 }  // namespace realm::tensor::kernels

@@ -84,4 +84,15 @@ namespace realm::util {
   return static_cast<std::int64_t>(low ^ sign) - static_cast<std::int64_t>(sign);
 }
 
+/// a − b through an n-bit register of either overflow semantics. Wrap
+/// subtracts mod 2^64 first (unsigned arithmetic: the int64 difference could
+/// overflow at bits == 64) and keeps the low n bits; saturate clamps at the
+/// rails. At bits == 64 with saturate this is exactly sat_sub_i64.
+[[nodiscard]] constexpr std::int64_t width_sub(std::int64_t a, std::int64_t b, int bits,
+                                               bool saturate) noexcept {
+  if (saturate) return clamp_to_bits(sat_sub_i64(a, b), bits);
+  const std::uint64_t d = static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b);
+  return wrap_to_bits(static_cast<std::int64_t>(d), bits);
+}
+
 }  // namespace realm::util

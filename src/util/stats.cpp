@@ -1,7 +1,5 @@
 #include "util/stats.h"
 
-#include <numeric>
-
 namespace realm::util {
 
 double SlidingWindow::quantile(double q) const {
@@ -21,42 +19,6 @@ double quantile(std::span<const double> xs, double q) {
       static_cast<std::size_t>(q * static_cast<double>(copy.size() - 1) + 0.5);
   std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(idx), copy.end());
   return copy[idx];
-}
-
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("fit_line: need >=2 paired points");
-  }
-  const auto n = static_cast<double>(xs.size());
-  const double sx = std::accumulate(xs.begin(), xs.end(), 0.0);
-  const double sy = std::accumulate(ys.begin(), ys.end(), 0.0);
-  double sxx = 0.0;
-  double sxy = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-    syy += ys[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  LinearFit fit;
-  if (std::abs(denom) < 1e-12) {
-    // Vertical data: report a flat line through the mean rather than NaNs.
-    fit.slope = 0.0;
-    fit.intercept = sy / n;
-    fit.r2 = 0.0;
-    return fit;
-  }
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  const double ss_tot = syy - sy * sy / n;
-  double ss_res = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double e = ys[i] - (fit.slope * xs[i] + fit.intercept);
-    ss_res += e * e;
-  }
-  fit.r2 = ss_tot > 1e-12 ? 1.0 - ss_res / ss_tot : 1.0;
-  return fit;
 }
 
 }  // namespace realm::util

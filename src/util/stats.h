@@ -1,11 +1,10 @@
-// Streaming statistics and histograms used throughout the characterization
+// Streaming statistics and quantiles used throughout the characterization
 // harness (Sec. IV of the paper) and by the statistical-unit hardware model.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -69,37 +68,6 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-range linear histogram. Out-of-range samples clamp to edge bins so
-/// that tail mass is visible rather than silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-    if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range/bins");
-  }
-
-  void add(double x) noexcept {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept { return bin_lo(i + 1); }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Fixed-capacity window over the most recent samples, for quantiles that
 /// stay meaningful under a continuous stream (a whole-history quantile goes
 /// stale; a per-batch quantile is noise once there are no batches). The async
@@ -149,14 +117,5 @@ class SlidingWindow {
 ///  * a single-sample input returns that sample for every q;
 ///  * duplicate values are fine — nth_element handles ties.
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
-
-/// Ordinary least squares fit y = slope*x + intercept. Returns {slope,
-/// intercept, r2}. Throws if fewer than two points.
-struct LinearFit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r2 = 0.0;
-};
-[[nodiscard]] LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace realm::util

@@ -194,7 +194,7 @@ REALM_TEST(predict_kernels_fall_back_on_out_of_range_multipliers) {
 REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
   // The store-phase fused reduction must equal both eᵀC read back from the
   // output AND the predicted (eᵀA)·B — the checksum identity ProtectedGemm
-  // banks on — for every tier, storage order, and tile-edge shape.
+  // banks on — for every tier, prepacked or not, and tile-edge shape.
   realm::util::Rng rng(204);
   TierGuard guard;
   const std::size_t shapes[][3] = {{1, 1, 1},  {8, 64, 32},  {9, 65, 33},   {4, 16, 16},
@@ -215,11 +215,6 @@ REALM_TEST(fused_gemm_colsums_equal_identity_on_all_tiers) {
       gemm_i8_prepacked(a, b, pb, c2, &fused2);
       REALM_CHECK(c2 == c);
       REALM_CHECK(fused2 == fused);
-      MatI32 c3;
-      std::vector<std::int64_t> fused3;
-      gemm_i8_bt(a, transpose(b), c3, &fused3);
-      REALM_CHECK(c3 == c);
-      REALM_CHECK(fused3 == fused);
     }
   }
   // k = 0: C and the fused sums are all zero.

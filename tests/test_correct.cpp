@@ -138,6 +138,27 @@ REALM_TEST(faults_sharing_a_column_use_the_row_solve) {
   }
 }
 
+REALM_TEST(plan_a_patch_outside_int32_is_not_charged_to_rows) {
+  // Two +2^30 upsets in one column at rows 0 and 2 of a 3-row tile: the
+  // column solve reads them as one fault of 2^31 at row 1, and with the true
+  // row-1 value negative that patch leaves int32, so it is dropped. A dropped
+  // patch must not be charged to the row residuals, or Plan B would also
+  // "correct" the clean row-1 element. The row solve then heals both upsets.
+  Rng rng(76);
+  const Fixture fx(3, 32, 16, rng);
+  std::size_t j = 0;
+  while (j < fx.truth.cols() && fx.truth(1, j) >= 0) ++j;
+  REALM_CHECK(j < fx.truth.cols());
+  MatI32 acc = fx.truth;
+  acc(0, j) += 1 << 30;
+  acc(2, j) += 1 << 30;
+  const PatchResult res = fx.patch(acc);
+  REALM_CHECK(res.outcome == PatchOutcome::kPatched);
+  REALM_CHECK_EQ(res.patches_applied, std::size_t{2});
+  REALM_CHECK(res.used_row_solve);
+  REALM_CHECK(acc == fx.truth);
+}
+
 namespace {
 
 /// Adds a fixed delta to one fixed element — the minimal localized fault.

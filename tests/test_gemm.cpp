@@ -45,20 +45,12 @@ REALM_TEST(gemm_matches_reference) {
   }
 }
 
-REALM_TEST(gemm_bt_matches_transpose) {
-  realm::util::Rng rng(2);
-  const MatI8 a = random_i8(6, 70, rng);
-  const MatI8 b = random_i8(70, 11, rng);
-  REALM_CHECK(gemm_i8_bt(a, transpose(b)) == gemm_i8(a, b));
-}
-
 REALM_TEST(gemm_k_bound_enforced) {
   // k = 2^16 is the largest overflow-safe inner dimension; one past must
   // throw in every build type, not just assert in debug.
   const std::size_t k_bad = kMaxK + 1;
   const MatI8 a(1, k_bad), b(k_bad, 1);
   REALM_CHECK_THROWS(gemm_i8(a, b), std::invalid_argument);
-  REALM_CHECK_THROWS(gemm_i8_bt(a, MatI8(1, k_bad)), std::invalid_argument);
   REALM_CHECK_THROWS(gemm_i8(MatI8(1, 3), MatI8(4, 1)), std::invalid_argument);
   // k = kMaxK exactly is allowed.
   const MatI8 a_ok(1, kMaxK, 1), b_ok(kMaxK, 1, 1);

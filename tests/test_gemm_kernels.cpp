@@ -69,7 +69,6 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
     for (const Tier t : supported_tiers()) {
       kernels::set_active_tier(t);
       REALM_CHECK(gemm_i8(a, b) == want);
-      REALM_CHECK(gemm_i8_bt(a, transpose(b)) == want);
     }
   }
 }
@@ -82,11 +81,11 @@ REALM_TEST(tiers_agree_at_k_bound_with_minus128) {
   TierGuard guard;
   for (const std::size_t k : {kMaxK, kMaxK - 1}) {
     const MatI8 a(2, k, std::int8_t{-128});
-    const MatI8 bt(3, k, std::int8_t{-128});
+    const MatI8 b(k, 3, std::int8_t{-128});
     const std::int32_t want = static_cast<std::int32_t>(std::int64_t{16384} * k);
     for (const Tier t : supported_tiers()) {
       kernels::set_active_tier(t);
-      const MatI32 c = gemm_i8_bt(a, bt);
+      const MatI32 c = gemm_i8(a, b);
       for (std::size_t i = 0; i < c.rows(); ++i) {
         for (std::size_t j = 0; j < c.cols(); ++j) REALM_CHECK_EQ(c(i, j), want);
       }
@@ -116,8 +115,8 @@ REALM_TEST(mixed_sign_columns_cancel_exactly) {
 
 REALM_TEST(output_is_fully_overwritten_not_accumulated) {
   // The kernel contract: a correctly-sized c is overwritten without being
-  // read. Pre-poisoning c must not leak into the result on any tier, for
-  // either storage order, including the k = 0 edge (which must zero c).
+  // read. Pre-poisoning c must not leak into the result on any tier,
+  // including the k = 0 edge (which must zero c).
   realm::util::Rng rng(102);
   TierGuard guard;
   const MatI8 a = random_i8_full_range(7, 33, rng);
@@ -128,9 +127,6 @@ REALM_TEST(output_is_fully_overwritten_not_accumulated) {
     MatI32 c(7, 19);
     c.fill(0x7eadbeef);
     gemm_i8(a, b, c);
-    REALM_CHECK(c == want);
-    c.fill(-1);
-    gemm_i8_bt(a, transpose(b), c);
     REALM_CHECK(c == want);
     MatI32 zero(4, 6);
     zero.fill(123);

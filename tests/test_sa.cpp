@@ -1,11 +1,17 @@
 #include "sa/datapath.h"
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
+#include "detect/correct.h"
+#include "detect/detect.h"
 #include "fault/fault.h"
 #include "realm_test.h"
+#include "tensor/checksum.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -177,6 +183,101 @@ REALM_TEST(run_scratch_recycling_and_misuse) {
   REALM_CHECK(recycled.flips.empty());
   REALM_CHECK(!recycled.reference.faulty());
   REALM_CHECK(!recycled.by_width[0].flagged);
+}
+
+namespace {
+
+/// One (A, W) pair with everything both correctors read: the int64
+/// corrector's resident bases and predicted checksum, and the fault-free
+/// accumulator simulate_patch compares against.
+struct PatchPair {
+  detect::ProtectedGemm pg;
+  tensor::MatI8 a8;
+  std::vector<std::int64_t> predicted;
+  tensor::MatI32 truth;
+
+  PatchPair(std::size_t m, std::size_t k, std::size_t n, Rng& rng) {
+    pg.set_weights_quantized(random_i8(k, n, rng), tensor::QuantParams{0.02f});
+    a8 = random_i8(m, k, rng);
+    predicted = tensor::predict_col_checksum(a8, pg.weights());
+    truth = tensor::gemm_i8(a8, pg.weights());
+  }
+
+  [[nodiscard]] bool flagged(const tensor::MatI32& faulted) const {
+    return detect::screen_accumulator(pg.config(), predicted, a8, pg.weight_row_basis(), faulted)
+        .faulty();
+  }
+
+  /// Checks that the 64-bit patch simulation, under both overflow semantics,
+  /// heals `faulted` exactly when correct::try_patch does; returns the verdict.
+  bool expect_agreement(const tensor::MatI32& faulted) const {
+    tensor::MatI32 acc = faulted;
+    const detect::correct::PatchResult res = detect::correct::try_patch(
+        pg.config(), predicted, a8, pg.weights(), pg.weight_row_basis(), pg.weight_row_wbasis(),
+        acc);
+    const bool healed = res.outcome == detect::correct::PatchOutcome::kPatched && acc == truth;
+    REALM_CHECK_EQ(sa::simulate_patch(truth, faulted, {64, Overflow::kWrap, 0, true}), healed);
+    REALM_CHECK_EQ(sa::simulate_patch(truth, faulted, {64, Overflow::kSaturate, 0, true}),
+                   healed);
+    return healed;
+  }
+};
+
+}  // namespace
+
+REALM_TEST(width64_patch_simulation_matches_the_corrector) {
+  // reference.patched claims to be what the int64 in-place corrector
+  // achieves. Both run the same solve, so at 64 bits (where no register
+  // truncates) they must agree trial for trial: every flagged trial of a
+  // seeded batch of 1–4 upsets at bits 16–30. Four-column tiles make the
+  // patterns no solve can separate (faults on a rectangle's corners) common
+  // enough that both outcomes occur.
+  Rng rng(0x5a05);
+  std::size_t healed = 0, failed = 0;
+  for (const std::size_t m : {std::size_t{3}, std::size_t{8}, std::size_t{32}}) {
+    const PatchPair pair(m, 32, 4, rng);
+    for (int trial = 0; trial < 200; ++trial) {
+      tensor::MatI32 faulted = pair.truth;
+      const std::int64_t upsets = rng.uniform_int(1, 4);
+      for (std::int64_t u = 0; u < upsets; ++u) {
+        const auto idx = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(faulted.flat().size()) - 1));
+        const auto bit = static_cast<unsigned>(rng.uniform_int(16, 30));
+        std::int32_t& x = faulted.flat()[idx];
+        x = static_cast<std::int32_t>(static_cast<std::uint32_t>(x) ^ (1U << bit));
+      }
+      if (!pair.flagged(faulted)) continue;
+      ++(pair.expect_agreement(faulted) ? healed : failed);
+    }
+  }
+  REALM_CHECK(healed > 0);  // both outcomes were exercised
+  REALM_CHECK(failed > 0);
+
+  // The hand-built fault classes of test_correct.
+  const PatchPair pair(8, 32, 16, rng);
+  const auto with = [&](std::initializer_list<std::array<std::int64_t, 3>> faults) {
+    tensor::MatI32 faulted = pair.truth;
+    for (const auto& [i, j, delta] : faults) {
+      faulted(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) +=
+          static_cast<std::int32_t>(delta);
+    }
+    REALM_CHECK(pair.flagged(faulted));
+    return faulted;
+  };
+  REALM_CHECK(pair.expect_agreement(with({{3, 2, 1 << 15}})));
+  REALM_CHECK(pair.expect_agreement(with({{3, 2, 1 << 15}, {3, 11, -77}})));
+  REALM_CHECK(pair.expect_agreement(with({{1, 5, 1 << 12}, {4, 5, 3 << 10}})));
+  REALM_CHECK(pair.expect_agreement(with({{0, 7, 1 << 20}, {6, 7, -(1 << 20)}})));
+
+  // A column-solve patch that leaves int32 (test_correct's 3-row case).
+  const PatchPair tall(3, 32, 16, rng);
+  std::size_t j = 0;
+  while (j < tall.truth.cols() && tall.truth(1, j) >= 0) ++j;
+  REALM_CHECK(j < tall.truth.cols());
+  tensor::MatI32 faulted = tall.truth;
+  faulted(0, j) += 1 << 30;
+  faulted(2, j) += 1 << 30;
+  REALM_CHECK(tall.expect_agreement(faulted));
 }
 
 REALM_TEST_MAIN()
