@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tensor/checksum.h"
-#include "tensor/checksum_kernels.h"
 #include "util/bitmath.h"
 
 namespace realm::detect::correct {
@@ -114,20 +113,34 @@ PatchResult try_patch(const DetectionConfig& cfg,
   }
 
   // Weighted deviations, computed lazily only on this (cold) correction
-  // path: predicted uᵀ(A·W) = (uᵀA)·W reuses the standard predict kernel on
-  // the weighted activation checksum, and (A·W)·v = A·(W·v) reuses the row
-  // predict kernel on the resident weighted weight basis.
-  const std::vector<std::int64_t> ua = tensor::weighted_col_sums(a8);
-  std::vector<std::int64_t> pred_wcols(n);
-  tensor::kernels::predict_col_checksum(ua.data(), w8.data(), w8.rows(), w8.cols(),
-                                        pred_wcols.data());
-  const std::vector<std::int64_t> obs_wcols = tensor::weighted_col_sums(acc);
+  // path. Column side: predicted uᵀ(A·W) = (uᵀA)·W. solve_patches reads
+  // wdc[j] only where dc[j] ≠ 0, so only those columns are predicted, in one
+  // row-major pass over W; every other wdc entry stays 0. Row side:
+  // (A·W)·v = A·(W·v) reuses the row predict kernel on the resident weighted
+  // weight basis.
+  std::vector<std::size_t> dirty;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (dc[j] != 0) dirty.push_back(j);
+  }
+  std::vector<std::int64_t> wdc(n, 0);
+  if (!dirty.empty()) {
+    const std::vector<std::int64_t> ua = tensor::weighted_col_sums(a8);
+    std::vector<std::int64_t> pred_wcols(dirty.size(), 0);
+    for (std::size_t kk = 0; kk < w8.rows(); ++kk) {
+      if (ua[kk] == 0) continue;
+      const std::int8_t* wrow = w8.data() + kk * w8.cols();
+      for (std::size_t d = 0; d < dirty.size(); ++d) {
+        pred_wcols[d] += ua[kk] * static_cast<std::int64_t>(wrow[dirty[d]]);
+      }
+    }
+    const std::vector<std::int64_t> obs_wcols = tensor::weighted_col_sums(acc);
+    for (std::size_t d = 0; d < dirty.size(); ++d) {
+      wdc[dirty[d]] = util::sat_sub_i64(obs_wcols[dirty[d]], pred_wcols[d]);
+    }
+  }
   const std::vector<std::int64_t> pred_wrows = tensor::predict_row_checksum(a8, w_row_wbasis);
   const std::vector<std::int64_t> obs_wrows = tensor::weighted_row_sums(acc);
-
-  std::vector<std::int64_t> wdc(n);
   std::vector<std::int64_t> wdr(m);
-  for (std::size_t j = 0; j < n; ++j) wdc[j] = util::sat_sub_i64(obs_wcols[j], pred_wcols[j]);
   for (std::size_t i = 0; i < m; ++i) wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
 
   // Full-width int64 deviations: 64-bit saturate is exactly sat_sub_i64.

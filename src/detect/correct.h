@@ -20,13 +20,15 @@
 // deviations cancel.
 //
 // The predicted weighted sums reuse the existing fault-free prediction
-// identities: uᵀ(A·W) = (uᵀA)·W (one weighted col-sum over int8 A plus the
-// standard predict kernel) and (A·W)·v = A·(W·v) (the resident weighted
-// weight basis ProtectedGemm::set_weights precomputes). Total patch cost is
-// O(m·n + m·k + k·n) against the recompute replay's O(m·k·n). That is an
+// identities: uᵀ(A·W) = (uᵀA)·W (one weighted col-sum over int8 A, then one
+// row-major pass over W that predicts only the d columns with a nonzero
+// plain deviation — the only ones the column solve reads) and
+// (A·W)·v = A·(W·v) (the resident weighted weight basis
+// ProtectedGemm::set_weights precomputes). Total patch cost is
+// O(m·n + m·k + k·d) against the recompute replay's O(m·k·n). That is an
 // asymptotic bound, not a speed-up at every shape: at the decode tile
-// (m ≤ 16, k = 4096, 512 columns) the patch measured about 1.9×
-// recompute-plus-recheck (see perfbench/README.md).
+// (m ≤ 16, k = 4096, 512 columns) the patch measured about 1.5×
+// recompute-plus-recheck (traced perfbench decode, seed 5).
 //
 // State machine: detect → try_patch → full re-screen → serve (kPatched), or
 // on any inconsistency (inexact division, out-of-range index, dirty recheck)
@@ -71,7 +73,8 @@ struct Patch {
 
 /// The Plan A / Plan B weighted-basis solve over the deviations (observed −
 /// predicted) dc/wdc (plain/weighted, per column) and dr/wdr (per row). Plan
-/// A solves each column with a nonzero deviation on its own; Plan B solves
+/// A solves each column with a nonzero deviation on its own (wdc[j] is read
+/// only where dc[j] ≠ 0); Plan B solves
 /// each row over the residuals Plan A left. A patch whose value leaves int32
 /// proves its solve wrong and is dropped before it is charged to the row
 /// residuals. Every residual subtraction runs through util::width_sub at

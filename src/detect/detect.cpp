@@ -226,8 +226,9 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
   if (result.report.verdict == Verdict::kDetected && cfg_.patch_on_detect) {
     // Algebraic in-place correction: solve fault positions and magnitudes
     // from the plain + weighted deviations and patch the accumulator, at
-    // O(m·n + m·k + k·n) instead of the O(m·k·n) replay. try_patch re-screens
-    // with the full criteria internally; only a clean recheck claims success.
+    // O(m·n + m·k + k·d) for d faulted columns instead of the O(m·k·n)
+    // replay. try_patch re-screens with the full criteria internally; only a
+    // clean recheck claims success.
     const obs::ScopedSpan patch_span(obs::SpanKind::kPatch);
     const correct::PatchResult patched = correct::try_patch(
         cfg_, predicted_cols, a8, w8_, w_row_basis_, w_row_wbasis_, result.acc);

@@ -76,10 +76,10 @@ struct DetectionConfig {
   CheckMode mode = CheckMode::kTwoSided;
   /// Try the algebraic in-place patch first when a fault is flagged: solve
   /// position and magnitude from the plain + weighted deviations, patch the
-  /// accumulator, and re-screen: O(m·n + m·k + k·n) against the replay's
-  /// O(m·k·n). Asymptotic only — at the decode tile (m ≤ 16, k = 4096, 512
-  /// columns) the patch measured about 1.9× recompute-plus-recheck (see
-  /// perfbench/README.md).
+  /// accumulator, and re-screen: O(m·n + m·k + k·d) for d faulted columns
+  /// against the replay's O(m·k·n). Asymptotic only — at the decode tile
+  /// (m ≤ 16, k = 4096, 512 columns) the patch measured about 1.5×
+  /// recompute-plus-recheck (traced perfbench decode, seed 5).
   bool patch_on_detect = true;
   /// Recompute the GEMM (fault-free replay) when a fault is flagged and the
   /// patch was disabled or its recheck came back dirty.

@@ -89,7 +89,7 @@ std::uint64_t MemoryFaultModel::corrupt16(Component c, std::uint64_t op,
   const ComponentParams& p = cfg_.params(c);  // throws for kAccumulator
   if (p.ber <= 0.0 || words.empty()) return 0;
   util::Rng rng = component_stream(cfg_.seed, c, op);
-  // The 8-bit lane window applies to both byte lanes of every INT16 word.
+  // The 8-bit lane window applies to both byte lanes of every 16-bit word.
   const auto bits = static_cast<std::uint64_t>(p.bit_hi - p.bit_lo + 1);
   const std::uint64_t bits_per_word = 2 * bits;
   const std::uint64_t trials = words.size() * bits_per_word;

@@ -3,10 +3,12 @@
 // The original injectors attack only the post-GEMM accumulator — the paper's
 // compute-path error model. Production silent data corruption also strikes
 // data AT REST: the stationary quantized weight tile (hit once when loaded at
-// set_weights/swap_tile time), the packed INT16 B panels sitting in SRAM
-// between requests, and the INT8 activations staged in DRAM/SRAM before they
-// feed the GEMM. This model covers those three components with independent
-// BER / retention-time parameters per component.
+// set_weights/swap_tile time), the packed B panel image sitting in SRAM
+// between requests (16-bit words holding int16 k-pairs on avx2, and int8
+// k-quads plus each panel's int32 bias row on avx512), and the INT8
+// activations staged in DRAM/SRAM before they feed the GEMM. This model
+// covers those three components with independent BER / retention-time
+// parameters per component.
 //
 // Stream discipline (the replay contract): every corruption draw comes from
 // the counter-based stream
@@ -37,8 +39,9 @@
 namespace realm::fault {
 
 /// Per-component fault parameters. Bit positions index within an 8-bit lane:
-/// INT8 components attack bits [bit_lo, bit_hi] of each byte; the INT16
-/// panel component attacks the same window in BOTH byte lanes of each word.
+/// INT8 components attack bits [bit_lo, bit_hi] of each byte; the panel
+/// component (16-bit words) attacks the same window in BOTH byte lanes of
+/// each word.
 struct ComponentParams {
   double ber = 0.0;               ///< per-bit upset probability per epoch (0 disables)
   int bit_lo = 0;                 ///< lowest attackable bit of the 8-bit lane
@@ -73,7 +76,7 @@ inline constexpr std::uint64_t kComponentTagBase = 0xc0317a60'00000000ULL;
 /// colliding at any plausible op volume.
 [[nodiscard]] std::uint64_t compose_op(std::uint64_t hi, std::uint64_t lo) noexcept;
 
-/// Applies per-component at-rest corruption to byte (INT8) or word (INT16)
+/// Applies per-component at-rest corruption to byte (INT8) or 16-bit word
 /// images. Stateless between calls: every corruption is fully determined by
 /// (config, component, op).
 class MemoryFaultModel {
@@ -91,7 +94,8 @@ class MemoryFaultModel {
   std::uint64_t corrupt(Component c, std::uint64_t op, std::span<std::int8_t> bytes,
                         std::vector<FlipRecord>* record = nullptr) const;
 
-  /// Same for an INT16 image (the packed panel buffer): the component's
+  /// Same for a 16-bit word image (the packed panel buffer: int16 pairs on
+  /// avx2, int8 quads plus the int32 bias rows on avx512): the component's
   /// [bit_lo, bit_hi] lane window applies to both bytes of every word.
   std::uint64_t corrupt16(Component c, std::uint64_t op, std::span<std::int16_t> words,
                           std::vector<FlipRecord>* record = nullptr) const;

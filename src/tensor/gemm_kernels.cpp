@@ -1,6 +1,7 @@
 #include "tensor/gemm_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -8,8 +9,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "tensor/checksum_kernels.h"
 #include "util/compiler.h"
 #include "util/threadpool.h"
 
@@ -29,47 +32,133 @@ namespace {
 // AVX2's 16 ymm registers fit a 4x16 tile (8 accumulators).
 constexpr std::size_t kMr512 = 8, kNr512 = 32;
 constexpr std::size_t kMr256 = 4, kNr256 = 16;
-/// Rows of A converted to int16 at a time; keeps the packed block L2-resident
-/// even at the kMaxK inner dimension (64 rows x 2^16 x 2B = 8 MiB worst case,
-/// 64 KiB for typical k).
+/// Rows of A converted (u8 on avx512, int16 on avx2) at a time; keeps the
+/// converted block L2-resident for typical k (64 rows x 1024 x 1B = 64 KiB
+/// as u8), 4 MiB as u8 (8 MiB as int16) at the kMaxK worst case.
 constexpr std::size_t kRowBlock = 64;
 /// parallel_for grain: at least one full microkernel tile of rows per chunk.
 constexpr std::size_t kRowGrain = 8;
 
 #if REALM_X86
 
+// ---------------------------------------------------------------------------
+// Packing. B is split into column panels of width nr (32 on avx512, 16 on
+// avx2). Each tier interleaves the k-steps one multiply-add consumes, so one
+// panel row (2*nr int16 words) feeds one k-group of a microkernel:
+//
+//   avx2   — k-pairs sign-extended to int16 for vpmaddwd:
+//              panel[kp][2*j+t] = b(2kp+t, j0+j)        t in {0,1}
+//   avx512 — k-quads of raw int8 bytes for vpdpbusd, then one bias row of
+//            int32 (A enters that kernel offset by +128; see kern_avx512):
+//              panel[q][4*j+t]  = b(4q+t, j0+j)         t in {0..3}
+//              bias[j]          = 128 * sum_k b(k, j0+j)
+//
+// Entries past the k or n edge are 0, and so is a padded column's bias.
+// ---------------------------------------------------------------------------
+
 std::size_t nr_for(Tier t) noexcept { return t == Tier::kAvx512 ? kNr512 : kNr256; }
 
-// ---------------------------------------------------------------------------
-// Packing. Both SIMD tiers consume the same layout: B split into column
-// panels of width nr; within a panel, k-step pairs are interleaved and
-// sign-extended to int16 so one vpmaddwd consumes two k-steps:
-//   panel[kp][2*j]   = b(2kp,   j0+j)
-//   panel[kp][2*j+1] = b(2kp+1, j0+j)   (0 past the k or n edge)
-// ---------------------------------------------------------------------------
+/// Panel rows (of 2*nr int16 words each) per column panel.
+std::size_t panel_rows(Tier t, std::size_t k) noexcept {
+  return t == Tier::kAvx512 ? (k + 3) / 4 + 1 : (k + 1) / 2;
+}
 
-void pack_b_panels(const std::int8_t* b, std::size_t k, std::size_t n, std::size_t nr,
-                   std::int16_t* out) {
+std::size_t packed_words(Tier t, std::size_t k, std::size_t n) noexcept {
+  const std::size_t nr = nr_for(t);
+  return (n + nr - 1) / nr * panel_rows(t, k) * 2 * nr;
+}
+
+void pack_b_pairs(const std::int8_t* b, std::size_t k, std::size_t n, std::int16_t* out) {
   const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t panels = (n + nr - 1) / nr;
+  const std::size_t panels = (n + kNr256 - 1) / kNr256;
   for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t j0 = p * nr;
-    const std::size_t jw = std::min(nr, n - j0);
-    std::int16_t* po = out + p * kpairs * 2 * nr;
+    const std::size_t j0 = p * kNr256;
+    const std::size_t jw = std::min(kNr256, n - j0);
+    std::int16_t* po = out + p * kpairs * 2 * kNr256;
     for (std::size_t kp = 0; kp < kpairs; ++kp) {
       const std::size_t k0 = 2 * kp;
       const std::int8_t* r0 = b + k0 * n;
       const std::int8_t* r1 = (k0 + 1 < k) ? r0 + n : nullptr;
-      std::int16_t* dst = po + kp * 2 * nr;
+      std::int16_t* dst = po + kp * 2 * kNr256;
       for (std::size_t j = 0; j < jw; ++j) {
         dst[2 * j] = r0[j0 + j];
         dst[2 * j + 1] = r1 ? r1[j0 + j] : std::int16_t{0};
       }
-      for (std::size_t j = jw; j < nr; ++j) {
+      for (std::size_t j = jw; j < kNr256; ++j) {
         dst[2 * j] = 0;
         dst[2 * j + 1] = 0;
       }
     }
+  }
+}
+
+/// Bytes in one avx512 panel row: 32 columns of one k-quad, or 32 int32 biases.
+constexpr std::size_t kQuadRow = 4 * kNr512;
+
+/// Interleave columns [j0, j0 + 32) of four B rows into one k-quad panel
+/// row, 16 columns at a time: unpack{lo,hi}_epi8 makes pairs,
+/// unpack{lo,hi}_epi16 makes quads.
+void interleave_quad(const std::int8_t* const rows[4], std::size_t j0, unsigned char* dst) {
+  for (std::size_t g = j0; g < j0 + kNr512; g += 16) {
+    const __m128i x0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[0] + g));
+    const __m128i x1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[1] + g));
+    const __m128i x2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[2] + g));
+    const __m128i x3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[3] + g));
+    const __m128i lo01 = _mm_unpacklo_epi8(x0, x1), hi01 = _mm_unpackhi_epi8(x0, x1);
+    const __m128i lo23 = _mm_unpacklo_epi8(x2, x3), hi23 = _mm_unpackhi_epi8(x2, x3);
+    auto* out = reinterpret_cast<__m128i*>(dst + 4 * (g - j0));
+    _mm_storeu_si128(out, _mm_unpacklo_epi16(lo01, lo23));
+    _mm_storeu_si128(out + 1, _mm_unpackhi_epi16(lo01, lo23));
+    _mm_storeu_si128(out + 2, _mm_unpacklo_epi16(hi01, hi23));
+    _mm_storeu_si128(out + 3, _mm_unpackhi_epi16(hi01, hi23));
+  }
+}
+
+/// The avx512 image, written as bytes into the int16 storage. B is read row
+/// by row (one k-quad across every panel); rows past k read a zero row and
+/// the ragged last panel reads a zero-padded copy.
+void pack_b_quads(const std::int8_t* b, std::size_t k, std::size_t n, std::int16_t* out) {
+  const std::size_t kquads = (k + 3) / 4;
+  const std::size_t full = n / kNr512;
+  const std::size_t jtail = n - full * kNr512;
+  const std::size_t panel_bytes = (kquads + 1) * kQuadRow;
+  auto* bytes = reinterpret_cast<unsigned char*>(out);
+  const std::vector<std::int8_t> zero_row(n, 0);
+  std::int8_t edge[4][kNr512] = {};
+  const std::int8_t* const edge_rows[4] = {edge[0], edge[1], edge[2], edge[3]};
+  for (std::size_t q = 0; q < kquads; ++q) {
+    const std::int8_t* rows[4];
+    for (std::size_t t = 0; t < 4; ++t) {
+      rows[t] = 4 * q + t < k ? b + (4 * q + t) * n : zero_row.data();
+    }
+    for (std::size_t p = 0; p < full; ++p) {
+      interleave_quad(rows, p * kNr512, bytes + p * panel_bytes + q * kQuadRow);
+    }
+    if (jtail != 0) {
+      for (std::size_t t = 0; t < 4; ++t) std::memcpy(edge[t], rows[t] + full * kNr512, jtail);
+      interleave_quad(edge_rows, 0, bytes + full * panel_bytes + q * kQuadRow);
+    }
+  }
+  // Bias rows: |128 * sum_k b| <= 128 * 128 * kMaxK = 2^30 fits int32.
+  std::vector<std::int64_t> sums(n);
+  col_sums_i8(b, k, n, sums.data());
+  for (std::size_t p = 0; p * kNr512 < n; ++p) {
+    std::int32_t bias[kNr512] = {};
+    for (std::size_t j = 0; j < kNr512 && p * kNr512 + j < n; ++j) {
+      bias[j] = static_cast<std::int32_t>(128 * sums[p * kNr512 + j]);
+    }
+    std::memcpy(bytes + p * panel_bytes + kquads * kQuadRow, bias, sizeof(bias));
+  }
+}
+
+/// Pack b[k x n] for SIMD tier t into `out` (resized to packed_words).
+void pack_panels(Tier t, const std::int8_t* b, std::size_t k, std::size_t n,
+                 std::vector<std::int16_t>& out) {
+  out.resize(packed_words(t, k, n));
+  if (t == Tier::kAvx512) {
+    pack_b_quads(b, k, n, out.data());
+  } else {
+    pack_b_pairs(b, k, n, out.data());
   }
 }
 
@@ -84,9 +173,23 @@ void pack_a_i16(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size
   }
 }
 
-/// Broadcastable A pair (two adjacent int16 values) read without alignment or
-/// aliasing UB; compiles to a single 32-bit load.
-inline std::int32_t a_pair(const std::int16_t* p) noexcept {
+/// Rows [i0, i1) of A as u8 a + 128 (a ^ 0x80), padding k to kpad with the
+/// encoding of 0 (the padded B bytes are 0, so any value would do).
+void pack_a_u8(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size_t i0,
+               std::size_t i1, std::uint8_t* out) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    std::uint8_t* dst = out + (i - i0) * kpad;
+    const std::int8_t* src = a + i * k;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      dst[kk] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(src[kk]) ^ 0x80u);
+    }
+    for (std::size_t kk = k; kk < kpad; ++kk) dst[kk] = 0x80;
+  }
+}
+
+/// Broadcastable A group (an int16 pair or a u8 quad) read without alignment
+/// or aliasing UB; compiles to a single 32-bit load.
+inline std::int32_t a_group(const void* p) noexcept {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
@@ -151,7 +254,7 @@ __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std
     const __m256i b1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
     for (std::size_t r = 0; r < kMr256; ++r) {
-      const __m256i av = _mm256_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
+      const __m256i av = _mm256_set1_epi32(a_group(a16 + r * lda + 2 * kp));
       acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
     }
@@ -198,7 +301,7 @@ __attribute__((target("avx2"))) void kern_avx2_edge(const std::int16_t* a16, std
     const __m256i b1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
     for (std::size_t r = 0; r < mr; ++r) {
-      const __m256i av = _mm256_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
+      const __m256i av = _mm256_set1_epi32(a_group(a16 + r * lda + 2 * kp));
       acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
       acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
     }
@@ -245,32 +348,60 @@ __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 tier: 8x32 tile, same scheme at double width.
+// AVX-512 tier (F + BW + VNNI): 8x32 tile, one vpdpbusd per k-quad and half
+// tile. vpdpbusd multiplies unsigned by signed bytes, so A enters as
+// a + 128 and each panel's bias row undoes the offset before the store:
+//   sum_k (a+128)*b - 128*sum_k b = sum_k a*b.
+// The non-saturating form never clamps, and the biased sum stays inside
+// int32 anyway: |(a+128)*b| <= 255*128, so at k = 2^16 the extreme is
+// 255*(-128)*2^16 = -2 139 095 040 > INT32_MIN.
 // ---------------------------------------------------------------------------
 
 // Suppresses the GCC PR105593 -Wmaybe-uninitialized false positive from the
 // vpmovsxdq widening in the fused store phase; see src/util/compiler.h.
 REALM_BEGIN_AVX512_SECTION
 
-__attribute__((target("avx512f,avx512bw"))) void kern_avx512_full(
-    const std::int16_t* a16, std::size_t lda, const std::int16_t* pb, std::size_t kpairs,
-    std::int32_t* c, std::size_t ldc, std::int64_t* csum) {
-  __m512i acc[kMr512][2];
-  for (std::size_t r = 0; r < kMr512; ++r) {
+/// One MR x 32 tile over a panel's k-quads. A full-width tile stores and
+/// reduces eᵀC straight from the registers; the ragged last panel (jw < 32)
+/// spills through a stack tile.
+template <std::size_t MR>
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void kern_avx512(
+    const std::uint8_t* au8, std::size_t lda, const unsigned char* pb, std::size_t kquads,
+    std::int32_t* c, std::size_t ldc, std::size_t jw, std::int64_t* csum) {
+  __m512i acc[MR][2];
+  for (std::size_t r = 0; r < MR; ++r) {
     acc[r][0] = _mm512_setzero_si512();
     acc[r][1] = _mm512_setzero_si512();
   }
-  for (std::size_t kp = 0; kp < kpairs; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(pb + kp * 2 * kNr512);
-    const __m512i b1 = _mm512_loadu_si512(pb + kp * 2 * kNr512 + 32);
+  for (std::size_t q = 0; q < kquads; ++q) {
+    const __m512i b0 = _mm512_loadu_si512(pb + q * kQuadRow);
+    const __m512i b1 = _mm512_loadu_si512(pb + q * kQuadRow + 64);
 #pragma GCC unroll 8
-    for (std::size_t r = 0; r < kMr512; ++r) {
-      const __m512i av = _mm512_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(av, b0));
-      acc[r][1] = _mm512_add_epi32(acc[r][1], _mm512_madd_epi16(av, b1));
+    for (std::size_t r = 0; r < MR; ++r) {
+      const __m512i av = _mm512_set1_epi32(a_group(au8 + r * lda + 4 * q));
+      acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], av, b0);
+      acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], av, b1);
     }
   }
-  for (std::size_t r = 0; r < kMr512; ++r) {
+  const __m512i bias0 = _mm512_loadu_si512(pb + kquads * kQuadRow);
+  const __m512i bias1 = _mm512_loadu_si512(pb + kquads * kQuadRow + 64);
+  for (std::size_t r = 0; r < MR; ++r) {
+    acc[r][0] = _mm512_sub_epi32(acc[r][0], bias0);
+    acc[r][1] = _mm512_sub_epi32(acc[r][1], bias1);
+  }
+  if (jw < kNr512) {
+    alignas(64) std::int32_t tmp[kNr512];
+    for (std::size_t r = 0; r < MR; ++r) {
+      _mm512_store_si512(tmp, acc[r][0]);
+      _mm512_store_si512(tmp + 16, acc[r][1]);
+      std::memcpy(c + r * ldc, tmp, jw * sizeof(std::int32_t));
+      if (csum) {
+        for (std::size_t j = 0; j < jw; ++j) csum[j] += tmp[j];
+      }
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
     _mm512_storeu_si512(c + r * ldc, acc[r][0]);
     _mm512_storeu_si512(c + r * ldc + 16, acc[r][1]);
   }
@@ -279,7 +410,7 @@ __attribute__((target("avx512f,avx512bw"))) void kern_avx512_full(
     // (eight int32 values of magnitude 2^30 overflow an int32 sum).
     for (std::size_t h = 0; h < 2; ++h) {
       __m512i lo = _mm512_setzero_si512(), hi = _mm512_setzero_si512();
-      for (std::size_t r = 0; r < kMr512; ++r) {
+      for (std::size_t r = 0; r < MR; ++r) {
         lo = _mm512_add_epi64(lo, _mm512_cvtepi32_epi64(_mm512_castsi512_si256(acc[r][h])));
         hi = _mm512_add_epi64(hi,
                               _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(acc[r][h], 1)));
@@ -291,61 +422,37 @@ __attribute__((target("avx512f,avx512bw"))) void kern_avx512_full(
   }
 }
 
-__attribute__((target("avx512f,avx512bw"))) void kern_avx512_edge(
-    const std::int16_t* a16, std::size_t lda, const std::int16_t* pb, std::size_t kpairs,
-    std::int32_t* c, std::size_t ldc, std::size_t mr, std::size_t jw, std::int64_t* csum) {
-  __m512i acc[kMr512][2];
-  for (std::size_t r = 0; r < mr; ++r) {
-    acc[r][0] = _mm512_setzero_si512();
-    acc[r][1] = _mm512_setzero_si512();
-  }
-  for (std::size_t kp = 0; kp < kpairs; ++kp) {
-    const __m512i b0 = _mm512_loadu_si512(pb + kp * 2 * kNr512);
-    const __m512i b1 = _mm512_loadu_si512(pb + kp * 2 * kNr512 + 32);
-    for (std::size_t r = 0; r < mr; ++r) {
-      const __m512i av = _mm512_set1_epi32(a_pair(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm512_add_epi32(acc[r][0], _mm512_madd_epi16(av, b0));
-      acc[r][1] = _mm512_add_epi32(acc[r][1], _mm512_madd_epi16(av, b1));
-    }
-  }
-  alignas(64) std::int32_t tmp[kNr512];
-  for (std::size_t r = 0; r < mr; ++r) {
-    _mm512_store_si512(tmp, acc[r][0]);
-    _mm512_store_si512(tmp + 16, acc[r][1]);
-    std::memcpy(c + r * ldc, tmp, jw * sizeof(std::int32_t));
-    if (csum) {
-      for (std::size_t j = 0; j < jw; ++j) csum[j] += tmp[j];
-    }
-  }
-}
+using KernAvx512 = void (*)(const std::uint8_t*, std::size_t, const unsigned char*, std::size_t,
+                            std::int32_t*, std::size_t, std::size_t, std::int64_t*);
 
-__attribute__((target("avx512f,avx512bw"))) void avx512_rows(const std::int8_t* a,
-                                                             const std::int16_t* pb,
-                                                             std::int32_t* c, std::size_t k,
-                                                             std::size_t n, std::size_t i0,
-                                                             std::size_t i1,
-                                                             std::int64_t* csum) {
-  const std::size_t kpairs = (k + 1) / 2;
-  const std::size_t kpad = 2 * kpairs;
+/// kern_avx512<R + 1> at index R: one instantiation per tile height, so a
+/// short tile (decode's m = 1) keeps its accumulators in registers.
+template <std::size_t... R>
+constexpr std::array<KernAvx512, sizeof...(R)> kernels_by_rows(std::index_sequence<R...>) {
+  return {&kern_avx512<R + 1>...};
+}
+constexpr auto kKernAvx512 = kernels_by_rows(std::make_index_sequence<kMr512>{});
+
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void avx512_rows(
+    const std::int8_t* a, const std::int16_t* pb, std::int32_t* c, std::size_t k, std::size_t n,
+    std::size_t i0, std::size_t i1, std::int64_t* csum) {
+  const std::size_t kquads = (k + 3) / 4;
+  const std::size_t kpad = 4 * kquads;
   const std::size_t panels = (n + kNr512 - 1) / kNr512;
-  std::vector<std::int16_t> a16(std::min(kRowBlock, i1 - i0) * kpad);
+  const auto* pbytes = reinterpret_cast<const unsigned char*>(pb);
+  std::vector<std::uint8_t> au8(std::min(kRowBlock, i1 - i0) * kpad);
   for (std::size_t ib = i0; ib < i1; ib += kRowBlock) {
     const std::size_t ie = std::min(i1, ib + kRowBlock);
-    pack_a_i16(a, k, kpad, ib, ie, a16.data());
+    pack_a_u8(a, k, kpad, ib, ie, au8.data());
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr512;
       const std::size_t jw = std::min(kNr512, n - j0);
-      const std::int16_t* pbp = pb + p * kpairs * 2 * kNr512;
+      const unsigned char* pbp = pbytes + p * (kquads + 1) * kQuadRow;
       for (std::size_t i = ib; i < ie; i += kMr512) {
         const std::size_t mr = std::min(kMr512, ie - i);
-        const std::int16_t* arows = a16.data() + (i - ib) * kpad;
-        std::int32_t* crows = c + i * n + j0;
+        const std::uint8_t* arows = au8.data() + (i - ib) * kpad;
         std::int64_t* cs = csum ? csum + j0 : nullptr;
-        if (mr == kMr512 && jw == kNr512) {
-          kern_avx512_full(arows, kpad, pbp, kpairs, crows, n, cs);
-        } else {
-          kern_avx512_edge(arows, kpad, pbp, kpairs, crows, n, mr, jw, cs);
-        }
+        kKernAvx512[mr - 1](arows, kpad, pbp, kquads, c + i * n + j0, n, jw, cs);
       }
     }
   }
@@ -363,7 +470,8 @@ Tier detect_best() noexcept {
 #if REALM_X86
   // __builtin_cpu_supports consults libgcc's CPUID+XGETBV probe, so OS
   // state-save support for ymm/zmm is already folded in.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vnni")) {
     return Tier::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
@@ -467,11 +575,9 @@ void gemm_i8(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, std::s
 #if REALM_X86
   const Tier t = active_tier();
   if (t != Tier::kPortable) {
-    // Pack B once (serial, O(k*n)), then row-shard the macro-loop.
-    const std::size_t nr = nr_for(t);
-    const std::size_t kpairs = (k + 1) / 2;
-    std::vector<std::int16_t> pb((n + nr - 1) / nr * kpairs * 2 * nr);
-    pack_b_panels(b, k, n, nr, pb.data());
+    // Pack B once (O(k*n)), then row-shard the macro-loop.
+    std::vector<std::int16_t> pb;
+    pack_panels(t, b, k, n, pb);
     run_simd_rows(t, a, pb.data(), c, m, k, n, col_sums);
     return;
   }
@@ -487,13 +593,7 @@ PackedB pack_b(const std::int8_t* b, std::size_t k, std::size_t n) {
   p.k_ = k;
   p.n_ = n;
 #if REALM_X86
-  if (p.tier_ != Tier::kPortable && k > 0 && n > 0) {
-    const std::size_t nr = nr_for(p.tier_);
-    const std::size_t kpairs = (k + 1) / 2;
-    const std::size_t panels = (n + nr - 1) / nr;
-    p.panels_.resize(panels * kpairs * 2 * nr);
-    pack_b_panels(b, k, n, nr, p.panels_.data());
-  }
+  if (p.tier_ != Tier::kPortable && k > 0 && n > 0) pack_panels(p.tier_, b, k, n, p.panels_);
 #else
   (void)b;
 #endif

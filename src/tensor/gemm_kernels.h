@@ -3,18 +3,30 @@
 // Three implementations of the same bit-exact contract, best one picked per
 // process by probing CPUID at first use (overridable for tests and A/B runs):
 //
-//  * kAvx512 — 512-bit madd_epi16 microkernel (8 rows x 32 cols of int32
-//    accumulators), for CPUs with AVX-512F + AVX-512BW.
-//  * kAvx2   — 256-bit madd_epi16 microkernel (4 rows x 16 cols).
+//  * kAvx512 — 512-bit vpdpbusd (VNNI) microkernel over int8 k-quads (8 rows
+//    x 32 cols of int32 accumulators), for CPUs with AVX-512F + AVX-512BW +
+//    AVX-512 VNNI. A CPU with AVX-512 but no VNNI runs the avx2 tier.
+//  * kAvx2   — 256-bit vpmaddwd microkernel over int16 k-pairs (4 rows x 16
+//    cols).
 //  * kPortable — the blocked scalar i-k-j loop (autovectorizable), always
 //    available; the reference the SIMD tiers are cross-checked against.
 //
-// The SIMD tiers share one data layout: B is packed once per call into
-// column panels of kNr int16 pairs — pair (b[2kp][j], b[2kp+1][j]) sits
-// contiguously so a vpmaddwd against a broadcast A pair (a[i][2kp], a[i][2kp+1])
-// accumulates two k-steps per instruction, int8 -> int16 -> int32 with no
-// saturation anywhere: |a*b| <= 2^14, a pair sums to <= 2^15, and k <= 2^16
-// keeps the int32 accumulator within 2^30 (see tensor::kMaxK).
+// Both SIMD tiers pack B into column panels (32 columns on avx512, 16 on
+// avx2) whose rows interleave the k-steps one multiply-add consumes:
+//
+//  * avx512: k-quads of raw int8, panel[q][4j+t] = b(4q+t, j0+j), so one
+//    vpdpbusd against a broadcast A quad retires four k-steps. vpdpbusd
+//    multiplies u8 by s8, so A is fed as a + 128 (a ^ 0x80) and each panel
+//    ends in one int32 bias row, 128·Σₖ b(k, j) per padded column, which
+//    the kernel subtracts before the store and the fused eᵀC reduction.
+//    The non-saturating form never clamps, and the biased sum stays inside
+//    int32 at k ≤ 2^16 (extreme 255·(−128)·2^16 = −2 139 095 040).
+//  * avx2: k-pairs sign-extended to int16, pair (b[2kp][j], b[2kp+1][j])
+//    contiguous for vpmaddwd against a broadcast A pair: |a*b| <= 2^14, a
+//    pair sums to <= 2^15, and no saturation anywhere.
+//
+// Either way the true sum has |Σ a·b| <= 2^30 at k <= 2^16 (see
+// tensor::kMaxK). Entries past the k or n edge pack as 0.
 //
 // Every tier produces bit-identical results to every other tier and at every
 // thread count: integer addition is associative, each output element's
@@ -90,8 +102,9 @@ class PackedB {
   }
 
   /// Raw panel words, for the memory-hierarchy fault model (at-rest panel
-  /// corruption) and the repack-compare scrub. Empty on the portable tier,
-  /// which consumes B directly.
+  /// corruption) and the repack-compare scrub: int16 pairs on avx2; on
+  /// avx512 the int8 quad image plus its int32 bias rows, viewed as 16-bit
+  /// words. Empty on the portable tier, which consumes B directly.
   [[nodiscard]] std::span<const std::int16_t> raw_panels() const noexcept { return panels_; }
 
   /// Mutable view for fault injection ONLY. Writing through this view on a

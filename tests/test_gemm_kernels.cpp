@@ -1,6 +1,9 @@
 #include "tensor/gemm_kernels.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -57,8 +60,9 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
   realm::util::Rng rng(101);
   TierGuard guard;
   // Shapes straddling every blocking boundary: microkernel tiles (4/8 rows,
-  // 16/32 cols), the 64-row A block, odd k (the int16 pair padding path),
-  // k = 1, and single-row/column edges.
+  // 16/32 cols), the 64-row A block, k not a multiple of 2 or 4 (the padded
+  // tail of an avx2 int16 pair or an avx512 int8 quad), k = 1, and
+  // single-row/column edges.
   const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},    {8, 64, 32},  {9, 65, 33},
                                    {17, 2, 50}, {33, 127, 1}, {5, 1, 100},  {64, 128, 96},
                                    {66, 130, 97}, {12, 31, 48}, {100, 7, 19}};
@@ -74,20 +78,26 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
 }
 
 REALM_TEST(tiers_agree_at_k_bound_with_minus128) {
-  // Worst-case accumulation: all operands -128, k = kMaxK. Every element is
-  // exactly 2^14 * 2^16 = 2^30 — the documented int32 ceiling. The int16-pair
-  // SIMD path must neither saturate nor wrap anywhere on the way there, and
-  // an odd k one below the bound exercises the padded tail at full magnitude.
+  // Worst-case accumulation at k = kMaxK, and one below it (a k that is
+  // neither a whole int16 pair nor a whole int8 quad, so the padded tail runs
+  // at full magnitude). All operands -128 give 2^14 * 2^16 = 2^30 — the
+  // documented int32 ceiling — on every tier. A = +127 against B = -128 is
+  // the avx512 tier's largest biased sum: it feeds vpdpbusd u8 255 x s8 -128
+  // per k-step, -2 139 095 040 at k = 2^16, before the 128 * sum(B) bias
+  // brings it back to -16256 * k. Nothing may saturate or wrap on the way.
   TierGuard guard;
+  const std::int8_t operands[][2] = {{-128, -128}, {127, -128}};
   for (const std::size_t k : {kMaxK, kMaxK - 1}) {
-    const MatI8 a(2, k, std::int8_t{-128});
-    const MatI8 b(k, 3, std::int8_t{-128});
-    const std::int32_t want = static_cast<std::int32_t>(std::int64_t{16384} * k);
-    for (const Tier t : supported_tiers()) {
-      kernels::set_active_tier(t);
-      const MatI32 c = gemm_i8(a, b);
-      for (std::size_t i = 0; i < c.rows(); ++i) {
-        for (std::size_t j = 0; j < c.cols(); ++j) REALM_CHECK_EQ(c(i, j), want);
+    for (const auto& ab : operands) {
+      const MatI8 a(2, k, ab[0]);
+      const MatI8 b(k, 3, ab[1]);
+      const std::int32_t want = ab[0] * ab[1] * static_cast<std::int32_t>(k);
+      for (const Tier t : supported_tiers()) {
+        kernels::set_active_tier(t);
+        const MatI32 c = gemm_i8(a, b);
+        for (std::size_t i = 0; i < c.rows(); ++i) {
+          for (std::size_t j = 0; j < c.cols(); ++j) REALM_CHECK_EQ(c(i, j), want);
+        }
       }
     }
   }
@@ -161,6 +171,51 @@ REALM_TEST(prepacked_weights_match_fresh_pack_and_survive_tier_switch) {
       REALM_CHECK(c2 == want);
     }
     kernels::set_active_tier(t);
+  }
+}
+
+REALM_TEST(packed_tail_word_corruption_hits_one_column) {
+  // The last word of a packed image: on avx512 the high half of the last
+  // column's int32 bias (128 * sum_k b), on avx2 b(k-1, n-1) of the last
+  // int16 pair (k even, n a whole panel). One flipped bit there must fail
+  // the repack-compare scrub and move exactly one output column, in every
+  // row — which is why the row-side identity A·(W·e) catches it. Runs on
+  // every SIMD tier the CPU supports, the best one included.
+  realm::util::Rng rng(104);
+  TierGuard guard;
+  if (kernels::best_supported_tier() == Tier::kPortable) {
+    std::fprintf(stderr, "skipped: the portable tier packs no panels\n");
+    return;
+  }
+  const std::size_t m = 9, k = 72, n = 64;
+  MatI8 a = random_i8_full_range(m, k, rng);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (a(i, k - 1) == 0) a(i, k - 1) = 1;  // every row must see b(k-1, n-1) on avx2
+  }
+  const MatI8 b = random_i8_full_range(k, n, rng);
+  const MatI32 want = reference_gemm(a, b);
+  for (const Tier t : supported_tiers()) {
+    if (t == Tier::kPortable) continue;
+    kernels::set_active_tier(t);
+    kernels::PackedB pb = kernels::pack_b(b.data(), k, n);
+    const std::span<std::int16_t> words = pb.mutable_panels();
+    REALM_CHECK(!words.empty());
+    words.back() = static_cast<std::int16_t>(words.back() ^ 1);
+    const kernels::PackedB fresh = kernels::pack_b(b.data(), k, n);
+    REALM_CHECK(!std::equal(fresh.raw_panels().begin(), fresh.raw_panels().end(),
+                            pb.raw_panels().begin(), pb.raw_panels().end()));
+
+    MatI32 c;
+    gemm_i8_prepacked(a, b, pb, c);
+    std::size_t bad_cols = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      std::size_t bad_rows = 0;
+      for (std::size_t i = 0; i < m; ++i) bad_rows += c(i, j) != want(i, j) ? 1 : 0;
+      if (bad_rows == 0) continue;
+      ++bad_cols;
+      REALM_CHECK_EQ(bad_rows, m);
+    }
+    REALM_CHECK_EQ(bad_cols, std::size_t{1});
   }
 }
 
