@@ -1,6 +1,7 @@
 #include "detect/correct.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -86,26 +87,21 @@ PatchResult try_patch(const DetectionConfig& cfg,
                       const std::vector<std::int64_t>& predicted_cols, const tensor::MatI8& a8,
                       const tensor::MatI8& w8, const std::vector<std::int64_t>& w_row_basis,
                       const std::vector<std::int64_t>& w_row_wbasis, tensor::MatI32& acc) {
+  if (a8.rows() != acc.rows() || a8.cols() != w8.rows() || w8.cols() != acc.cols()) {
+    throw std::invalid_argument("try_patch: operand/accumulator shape mismatch");
+  }
   PatchResult res;
   const std::size_t m = acc.rows();
   const std::size_t n = acc.cols();
 
-  // Plain deviations on both sides — the same identities the screen used.
-  const std::vector<std::int64_t> obs_cols = tensor::col_sums(acc);
-  const std::vector<std::int64_t> obs_rows = tensor::row_sums(acc);
-  const std::vector<std::int64_t> pred_rows = tensor::predict_row_checksum(a8, w_row_basis);
-  std::vector<std::int64_t> dc(n);
-  std::vector<std::int64_t> dr(m);
-  bool any = false;
-  for (std::size_t j = 0; j < n; ++j) {
-    dc[j] = util::sat_sub_i64(obs_cols[j], predicted_cols[j]);
-    any = any || dc[j] != 0;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    dr[i] = util::sat_sub_i64(obs_rows[i], pred_rows[i]);
-    any = any || dr[i] != 0;
-  }
-  if (!any) {
+  // Plain deviations on both sides through the one screen. The rows are
+  // predicted from the CLEAN a8 (the screen of an activation strike predicts
+  // them from the struck copy), so the screen's own deviations are not reused.
+  Deviations dev;
+  dev.pred_rows = tensor::predict_row_checksum(a8, w_row_basis);
+  const ScreenStats stats =
+      screen_deviations(predicted_cols, dev.pred_rows, acc, 64, /*saturate=*/true, dev);
+  if (stats.nonzero_cols == 0 && stats.nonzero_rows == 0) {
     // A "detected" verdict with zero deviations on both sides has nothing to
     // solve against; refuse to touch the accumulator.
     res.outcome = PatchOutcome::kNoFault;
@@ -120,9 +116,9 @@ PatchResult try_patch(const DetectionConfig& cfg,
   // weight basis.
   std::vector<std::size_t> dirty;
   for (std::size_t j = 0; j < n; ++j) {
-    if (dc[j] != 0) dirty.push_back(j);
+    if (dev.dc[j] != 0) dirty.push_back(j);
   }
-  std::vector<std::int64_t> wdc(n, 0);
+  dev.wdc.assign(n, 0);
   if (!dirty.empty()) {
     const std::vector<std::int64_t> ua = tensor::weighted_col_sums(a8);
     std::vector<std::int64_t> pred_wcols(dirty.size(), 0);
@@ -135,17 +131,16 @@ PatchResult try_patch(const DetectionConfig& cfg,
     }
     const std::vector<std::int64_t> obs_wcols = tensor::weighted_col_sums(acc);
     for (std::size_t d = 0; d < dirty.size(); ++d) {
-      wdc[dirty[d]] = util::sat_sub_i64(obs_wcols[dirty[d]], pred_wcols[d]);
+      dev.wdc[dirty[d]] = util::sat_sub_i64(obs_wcols[dirty[d]], pred_wcols[d]);
     }
   }
   const std::vector<std::int64_t> pred_wrows = tensor::predict_row_checksum(a8, w_row_wbasis);
-  const std::vector<std::int64_t> obs_wrows = tensor::weighted_row_sums(acc);
-  std::vector<std::int64_t> wdr(m);
-  for (std::size_t i = 0; i < m; ++i) wdr[i] = util::sat_sub_i64(obs_wrows[i], pred_wrows[i]);
+  dev.wdr = tensor::weighted_row_sums(acc);
+  for (std::size_t i = 0; i < m; ++i) dev.wdr[i] = util::sat_sub_i64(dev.wdr[i], pred_wrows[i]);
 
   // Full-width int64 deviations: 64-bit saturate is exactly sat_sub_i64.
-  const std::vector<Patch> patches =
-      solve_patches(dc, wdc, std::move(dr), std::move(wdr), acc, 64, /*saturate=*/true);
+  const std::vector<Patch> patches = solve_patches(dev.dc, dev.wdc, std::move(dev.dr),
+                                                   std::move(dev.wdr), acc, 64, /*saturate=*/true);
   for (const Patch& p : patches) {
     acc(p.row, p.col) = p.value;
     res.used_row_solve = res.used_row_solve || p.row_solve;
@@ -156,7 +151,7 @@ PatchResult try_patch(const DetectionConfig& cfg,
   // criteria (MSD threshold, per-column deviations, row-side identity) come
   // back clean. This is what defuses an accidentally-divisible wrong solve —
   // a mispatch leaves some checksum unbalanced and lands here as kFailed.
-  res.recheck = screen_accumulator(cfg, predicted_cols, a8, w_row_basis, acc);
+  res.recheck = screen_accumulator(cfg, predicted_cols, a8, w_row_basis, acc, dev);
   res.outcome = (res.patches_applied > 0 && res.recheck.verdict == Verdict::kClean)
                     ? PatchOutcome::kPatched
                     : PatchOutcome::kFailed;

@@ -7,59 +7,95 @@
 #include "detect/correct.h"
 #include "fault/memory.h"
 #include "obs/trace.h"
+#include "tensor/checksum_kernels.h"
 #include "tensor/gemm.h"
 #include "util/bitmath.h"
 
 namespace realm::detect {
 
-namespace {
-
-/// Fill the checksum-derived fields of a verdict from a column deviation.
-void load_column_stats(DetectionVerdict& v, const tensor::ColumnDeviation& dev,
-                       int datapath_bits) {
-  const std::int64_t clamped = util::clamp_to_bits(dev.msd_signed, datapath_bits);
-  v.msd_signed = clamped;
-  v.msd_abs = util::abs_u64(clamped);
-  v.l1 = dev.l1;
-  v.max_dev_pow2 = 0;
-  for (const auto d : dev.diff) {
-    if (d != 0) v.max_dev_pow2 = std::max(v.max_dev_pow2, util::ilog2_abs(d));
+ScreenStats screen_deviations(std::span<const std::int64_t> predicted_cols,
+                              std::span<const std::int64_t> predicted_rows,
+                              const tensor::MatI32& acc, int bits, bool saturate,
+                              Deviations& dev) {
+  if (predicted_cols.size() != acc.cols() ||
+      (!predicted_rows.empty() && predicted_rows.size() != acc.rows()) || bits < 1 || bits > 64) {
+    throw std::invalid_argument("screen_deviations: checksum length or register width mismatch");
   }
+  ScreenStats stats;
+  // Column side: the observed registers re-read the possibly-faulted
+  // accumulator; every deviation and the MSD run through registers of the
+  // same width. At 64 bits nothing can wrap or pin, and saturation keeps a
+  // huge deviation from aliasing to a small one (see bitmath.h).
+  dev.dc.resize(acc.cols());
+  tensor::kernels::col_sums_i32_width(acc.data(), acc.rows(), acc.cols(), bits, saturate,
+                                      dev.dc.data());
+  for (std::size_t j = 0; j < acc.cols(); ++j) {
+    dev.dc[j] = util::width_sub(dev.dc[j], predicted_cols[j], bits, saturate);
+    if (dev.dc[j] != 0) ++stats.nonzero_cols;
+    stats.msd = util::width_add(stats.msd, dev.dc[j], bits, saturate);
+  }
+  // Row side (two-sided callers only).
+  dev.dr.resize(predicted_rows.size());
+  if (!predicted_rows.empty()) {
+    tensor::kernels::row_sums_i32_width(acc.data(), acc.rows(), acc.cols(), bits, saturate,
+                                        dev.dr.data());
+    for (std::size_t i = 0; i < acc.rows(); ++i) {
+      dev.dr[i] = util::width_sub(dev.dr[i], predicted_rows[i], bits, saturate);
+      if (dev.dr[i] != 0) ++stats.nonzero_rows;
+    }
+  }
+  return stats;
 }
 
-}  // namespace
+DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
+                                    const std::vector<std::int64_t>& predicted_cols,
+                                    const tensor::MatI8& a8,
+                                    const std::vector<std::int64_t>& w_row_basis,
+                                    const tensor::MatI32& acc, Deviations& dev) {
+  const bool two_sided = cfg.mode == CheckMode::kTwoSided;
+  dev.pred_rows.clear();
+  if (two_sided) {
+    if (a8.cols() != w_row_basis.size() || a8.rows() != acc.rows()) {
+      throw std::invalid_argument("screen_accumulator: activation/basis/accumulator mismatch");
+    }
+    dev.pred_rows.resize(a8.rows());
+    tensor::kernels::predict_row_checksum(a8.data(), a8.rows(), a8.cols(), w_row_basis.data(),
+                                          dev.pred_rows.data());
+  }
+  const ScreenStats stats =
+      screen_deviations(predicted_cols, dev.pred_rows, acc, 64, /*saturate=*/true, dev);
+
+  DetectionVerdict report;
+  report.msd_signed = stats.msd;
+  report.msd_abs = util::abs_u64(stats.msd);
+  for (const auto d : dev.dc) {
+    if (d != 0) report.max_dev_pow2 = std::max(report.max_dev_pow2, util::ilog2_abs(d));
+  }
+  bool flagged = report.msd_abs > cfg.msd_threshold;
+  if (two_sided) {
+    for (std::size_t j = 0; j < dev.dc.size(); ++j) {
+      if (dev.dc[j] != 0) report.fault_cols.push_back(j);
+    }
+    for (std::size_t i = 0; i < dev.dr.size(); ++i) {
+      if (dev.dr[i] != 0) report.fault_rows.push_back(i);
+    }
+    // The row side must participate in the verdict, not just localization:
+    // opposite-sign errors in one column cancel in every column statistic
+    // (zero diff, zero MSD) but still perturb two row sums — the case
+    // classical two-sided ABFT exists to catch.
+    flagged = flagged || stats.nonzero_cols > 0 || stats.nonzero_rows > 0;
+  }
+  report.verdict = flagged ? Verdict::kDetected : Verdict::kClean;
+  return report;
+}
 
 DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
                                     const std::vector<std::int64_t>& predicted_cols,
                                     const tensor::MatI8& a8,
                                     const std::vector<std::int64_t>& w_row_basis,
                                     const tensor::MatI32& acc) {
-  DetectionVerdict report;
-  // Column side: predicted (eᵀA)·W vs observed eᵀC, MSD thresholding.
-  const tensor::ColumnDeviation dev = tensor::column_deviation_from_predicted(predicted_cols, acc);
-  load_column_stats(report, dev, cfg.msd_datapath_bits);
-
-  bool flagged = report.msd_abs > cfg.msd_threshold;
-  if (cfg.mode == CheckMode::kTwoSided) {
-    for (std::size_t j = 0; j < dev.diff.size(); ++j) {
-      if (dev.diff[j] != 0) report.fault_cols.push_back(j);
-    }
-    const std::vector<std::int64_t> predicted_rows =
-        tensor::predict_row_checksum(a8, w_row_basis);
-    const std::vector<std::int64_t> observed_rows = tensor::row_sums(acc);
-    for (std::size_t i = 0; i < predicted_rows.size(); ++i) {
-      if (util::sat_sub_i64(observed_rows[i], predicted_rows[i]) != 0) {
-        report.fault_rows.push_back(i);
-      }
-    }
-    // The row side must participate in the verdict, not just localization:
-    // opposite-sign errors in one column cancel in every column statistic
-    // (zero diff, zero MSD) but still perturb two row sums — the case
-    // classical two-sided ABFT exists to catch.
-    flagged = flagged || !report.fault_cols.empty() || !report.fault_rows.empty();
-  }
-  report.verdict = flagged ? Verdict::kDetected : Verdict::kClean;
-  return report;
+  Deviations dev;
+  return screen_accumulator(cfg, predicted_cols, a8, w_row_basis, acc, dev);
 }
 
 const char* to_string(Verdict v) noexcept {
@@ -70,12 +106,6 @@ const char* to_string(Verdict v) noexcept {
     case Verdict::kRecomputed: return "recomputed";
   }
   return "?";
-}
-
-ProtectedGemm::ProtectedGemm(DetectionConfig cfg) : cfg_(cfg) {
-  if (cfg_.msd_datapath_bits < 1) {
-    throw std::invalid_argument("ProtectedGemm: msd_datapath_bits must be >= 1");
-  }
 }
 
 void ProtectedGemm::set_weights(const tensor::MatF& w) {
@@ -215,7 +245,8 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
 
   {
     const obs::ScopedSpan screen_span(obs::SpanKind::kScreen);
-    result.report = screen_accumulator(cfg_, predicted_cols, *gemm_a, w_row_basis_, result.acc);
+    result.report = screen_accumulator(cfg_, predicted_cols, *gemm_a, w_row_basis_, result.acc,
+                                       result.dev);
   }
   result.report.injection = injection;
   result.report.component_flips[static_cast<std::size_t>(fault::Component::kAccumulator)] =
@@ -248,8 +279,8 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
       tensor::gemm_i8_prepacked(a8, w8_, w_packed_, result.acc);
     }
     const obs::ScopedSpan recheck_span(obs::SpanKind::kRecheck);
-    if (screen_accumulator(cfg_, predicted_cols, a8, w_row_basis_, result.acc).verdict ==
-        Verdict::kClean) {
+    if (screen_accumulator(cfg_, predicted_cols, a8, w_row_basis_, result.acc, result.dev)
+            .verdict == Verdict::kClean) {
       result.report.verdict = Verdict::kRecomputed;
     }
   }

@@ -25,12 +25,15 @@
 // product — exactly (eᵀA)·W by the checksum identity. This models Fig. 7's
 // dedicated (fault-free) checksum datapath running alongside the array; the
 // observed side is then re-read from the possibly-faulted accumulator by the
-// SIMD column-sum screen. Total per-run checking cost is O(m·k + m·n), all
-// vectorized — the old scalar O(k·n) prediction term is gone entirely.
+// SIMD column-sum screen — detect::screen_deviations, the one screen, which
+// realm::sa runs at its reduced register widths and this pipeline at 64
+// bits. Total per-run checking cost is O(m·k + m·n), all vectorized — the old
+// scalar O(k·n) prediction term is gone entirely.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/fault.h"
@@ -84,16 +87,12 @@ struct DetectionConfig {
   /// Recompute the GEMM (fault-free replay) when a fault is flagged and the
   /// patch was disabled or its recheck came back dirty.
   bool recompute_on_detect = true;
-  /// Width of the modeled MSD accumulator datapath; the signed MSD is clamped
-  /// with util::clamp_to_bits before thresholding (64 = full precision).
-  int msd_datapath_bits = 64;
 };
 
 struct DetectionVerdict {
   Verdict verdict = Verdict::kClean;
-  std::int64_t msd_signed = 0;  ///< after datapath clamping
+  std::int64_t msd_signed = 0;  ///< Σ per-column deviation, saturating at int64
   std::uint64_t msd_abs = 0;
-  std::uint64_t l1 = 0;
   /// floor(log2(max |per-column deviation|)); 0 when clean. The magnitude
   /// axis of the paper's critical-region map (Fig. 6).
   int max_dev_pow2 = 0;
@@ -112,10 +111,36 @@ struct DetectionVerdict {
   [[nodiscard]] bool faulty() const noexcept { return verdict != Verdict::kClean; }
 };
 
+/// Checksum deviations (observed − predicted) of one accumulator, owned by the
+/// caller so a recycled instance keeps the screen allocation-free. The screen
+/// writes `dc`/`dr`; only the correction paths fill `wdc`/`wdr`. `pred_rows`
+/// is scratch for callers that predict the row checksum themselves.
+struct Deviations {
+  std::vector<std::int64_t> dc, dr, wdc, wdr, pred_rows;
+};
+
+struct ScreenStats {
+  std::int64_t msd = 0;  ///< final value of the width-limited MSD register
+  std::size_t nonzero_cols = 0, nonzero_rows = 0;
+};
+
+/// The one checksum screen (Fig. 7), at any register width: re-reads the
+/// column (and row) sums of `acc` through `bits`-wide registers, writes
+/// dc = observed − predicted (and dr) with util::width_sub, and runs Σ dc
+/// through one util::width_add MSD register; `saturate` false wraps. (64,
+/// true) is the exact int64 screen. An empty `predicted_rows` screens the
+/// columns only. Throws std::invalid_argument on a prediction whose length
+/// does not match `acc`, or bits outside [1, 64].
+ScreenStats screen_deviations(std::span<const std::int64_t> predicted_cols,
+                              std::span<const std::int64_t> predicted_rows,
+                              const tensor::MatI32& acc, int bits, bool saturate,
+                              Deviations& dev);
+
 struct ProtectedGemmResult {
   tensor::MatI32 acc;      ///< final accumulator (patched or recomputed when corrected)
   tensor::MatF output;     ///< dequantized float output of `acc`
   DetectionVerdict report;
+  Deviations dev;  ///< the run's last screen; recycled like acc/output
   /// Working copy of the activation operand when the memory fault model is
   /// live: the GEMM consumes this (possibly corrupted) image while the
   /// caller's a8 stands in for the producer's golden copy. Recycled across
@@ -123,17 +148,24 @@ struct ProtectedGemmResult {
   tensor::MatI8 a8_work;
 };
 
-/// The full-width (int64) checksum screen, exposed as a standalone step:
-/// exactly what run_quantized* applies internally — MSD thresholding of the
-/// clamped column statistic and, in two-sided mode, per-column deviations
-/// plus the row-side identity from `a8` and the resident basis `W·e`. The
-/// returned verdict is kClean or kDetected (correction is the pipeline's
-/// job, not the screen's) and `injection` is left default-initialized.
+/// The full-width (int64) verdict, exposed as a standalone step: exactly
+/// what run_quantized* applies internally — screen_deviations at (64,
+/// saturate), MSD thresholding and, in two-sided mode, per-column deviations
+/// plus the row-side identity predicted from `a8` and the resident basis
+/// `W·e`. The returned verdict is kClean or kDetected (correction is the
+/// pipeline's job, not the screen's) and `injection` is left
+/// default-initialized. With a recycled `dev`, a clean screen allocates
+/// nothing. Throws std::invalid_argument on mismatched shapes.
 ///
 /// Exposed so external datapath models can re-screen the same accumulator
-/// the pipeline saw: realm::sa screens one faulted accumulator through
-/// several reduced-width register models and uses this as the int64
-/// reference verdict in its coverage comparison.
+/// the pipeline saw: realm::sa uses it as the int64 reference verdict in its
+/// coverage comparison.
+[[nodiscard]] DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
+                                                  const std::vector<std::int64_t>& predicted_cols,
+                                                  const tensor::MatI8& a8,
+                                                  const std::vector<std::int64_t>& w_row_basis,
+                                                  const tensor::MatI32& acc, Deviations& dev);
+/// Same, with throwaway deviations.
 [[nodiscard]] DetectionVerdict screen_accumulator(const DetectionConfig& cfg,
                                                   const std::vector<std::int64_t>& predicted_cols,
                                                   const tensor::MatI8& a8,
@@ -150,7 +182,7 @@ struct ProtectedGemmResult {
 // Calling set_weights* concurrently with any run* is a data race.
 class ProtectedGemm {
  public:
-  explicit ProtectedGemm(DetectionConfig cfg = {});
+  explicit ProtectedGemm(DetectionConfig cfg = {}) : cfg_(cfg) {}
 
   /// Calibrate + quantize the stationary weight operand and precompute its
   /// checksum basis W·e. Must be called before run()/run_quantized().
@@ -172,10 +204,10 @@ class ProtectedGemm {
                                                   const fault::FaultInjector& injector,
                                                   util::Rng& rng) const;
 
-  /// Steady-state serving variant: recycles `result`'s accumulator and output
-  /// buffers (resized only on shape change), so back-to-back protected GEMMs
-  /// pay no per-run allocation or page faults. The report is reset; all other
-  /// semantics identical to run_quantized.
+  /// Steady-state serving variant: recycles `result`'s buffers (resized only
+  /// on shape change), so back-to-back protected GEMMs pay no page faults
+  /// and a clean screen no allocation (the GEMM still allocates per run).
+  /// The report is reset; all other semantics identical to run_quantized.
   ///
   /// When `memory` is non-null and its activation BER is nonzero, the run
   /// models a per-request activation strike: a8 is copied into the result's

@@ -25,31 +25,47 @@ detect::DetectionConfig reference_screen_cfg(detect::DetectionConfig cfg) {
   return cfg;
 }
 
-/// Width-limited weighted line sums: out[line] = Σ pos·x routed through a Reg
-/// of the datapath's width, accumulated in the array's drain order (ascending
-/// row index for columns, ascending column index for rows) — the order the
-/// saturating datapath pins; wrap is order-free so it costs nothing there.
-void weighted_col_sums_width(const tensor::MatI32& m, const DatapathConfig& cfg,
-                             std::vector<std::int64_t>& out) {
-  out.resize(m.cols());
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    Reg reg(cfg.bits, cfg.overflow);
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      reg.add(static_cast<std::int64_t>(i + 1) * m(i, j));
+/// Width-limited weighted deviations, observed − predicted, per column
+/// (`by_col`: Σ_i (i+1)·x(i, j)) or per row (Σ_j (j+1)·x(i, j)). Both sides
+/// drain through Regs of the datapath's width in the array's drain order
+/// (ascending row index for columns, ascending column index for rows) — the
+/// order the saturating datapath pins; wrap is order-free.
+void weighted_deviations_width(const tensor::MatI32& truth, const tensor::MatI32& faulted,
+                               const DatapathConfig& cfg, bool by_col,
+                               std::vector<std::int64_t>& out) {
+  const std::size_t n = truth.cols();
+  const std::size_t lines = by_col ? n : truth.rows();
+  const std::size_t len = by_col ? truth.rows() : n;
+  const std::size_t line_step = by_col ? 1 : n;
+  const std::size_t pos_step = by_col ? n : 1;
+  out.resize(lines);
+  for (std::size_t l = 0; l < lines; ++l) {
+    Reg pred(cfg.bits, cfg.overflow);
+    Reg obs(cfg.bits, cfg.overflow);
+    for (std::size_t p = 0; p < len; ++p) {
+      const std::size_t at = l * line_step + p * pos_step;
+      const auto pos = static_cast<std::int64_t>(p + 1);
+      pred.add(pos * truth.data()[at]);
+      obs.add(pos * faulted.data()[at]);
     }
-    out[j] = reg.value();
+    out[l] = util::width_sub(obs.value(), pred.value(), cfg.bits,
+                             cfg.overflow == Overflow::kSaturate);
   }
 }
 
-void weighted_row_sums_width(const tensor::MatI32& m, const DatapathConfig& cfg,
-                             std::vector<std::int64_t>& out) {
-  out.resize(m.rows());
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    Reg reg(cfg.bits, cfg.overflow);
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      reg.add(static_cast<std::int64_t>(j + 1) * m(i, j));
-    }
-    out[i] = reg.value();
+/// The predicted-side registers: width-limited column (and, when `rows`,
+/// row) drains of the fault-free product. `pred_rows` is left empty
+/// otherwise, which screens the column side only.
+void predict_width(const tensor::MatI32& truth, const DatapathConfig& cfg, bool rows,
+                   std::vector<std::int64_t>& pred_cols, std::vector<std::int64_t>& pred_rows) {
+  const bool sat = cfg.overflow == Overflow::kSaturate;
+  pred_cols.resize(truth.cols());
+  tensor::kernels::col_sums_i32_width(truth.data(), truth.rows(), truth.cols(), cfg.bits, sat,
+                                      pred_cols.data());
+  pred_rows.resize(rows ? truth.rows() : 0);
+  if (rows) {
+    tensor::kernels::row_sums_i32_width(truth.data(), truth.rows(), truth.cols(), cfg.bits, sat,
+                                        pred_rows.data());
   }
 }
 
@@ -66,13 +82,7 @@ const char* to_string(Overflow o) noexcept {
 Reg::Reg(int bits, Overflow overflow) : bits_(bits), overflow_(overflow) { check_bits(bits); }
 
 void Reg::add(std::int64_t x) noexcept {
-  if (overflow_ == Overflow::kWrap) {
-    // realm-lint: allow(sat-math): models the wrap datapath itself — mod-2^64 on purpose
-    const std::uint64_t s = static_cast<std::uint64_t>(value_) + static_cast<std::uint64_t>(x);
-    value_ = util::wrap_to_bits(static_cast<std::int64_t>(s), bits_);
-  } else {
-    value_ = util::clamp_to_bits(util::sat_add_i64(value_, x), bits_);
-  }
+  value_ = util::width_add(value_, x, bits_, overflow_ == Overflow::kSaturate);
 }
 
 ScreenResult screen(const tensor::MatI32& truth, const tensor::MatI32& faulted,
@@ -89,46 +99,22 @@ ScreenResult screen_into(const tensor::MatI32& truth, const tensor::MatI32& faul
   }
   const bool sat = cfg.overflow == Overflow::kSaturate;
 
+  // The predicted registers drain the fault-free partial sums (Fig. 7's
+  // dedicated datapath) at the reduced width; the one screen re-reads the
+  // faulted accumulator through registers of the same width.
+  predict_width(truth, cfg, cfg.two_sided, scratch.pred_cols, scratch.dev.pred_rows);
+  const detect::ScreenStats stats = detect::screen_deviations(
+      scratch.pred_cols, scratch.dev.pred_rows, faulted, cfg.bits, sat, scratch.dev);
+
   ScreenResult res;
   res.bits = cfg.bits;
   res.overflow = cfg.overflow;
-
-  // Column side: both checksum rows run at the reduced width — the predicted
-  // registers see the fault-free partial sums (Fig. 7's dedicated datapath),
-  // the observed registers re-read the possibly-faulted accumulator.
-  scratch.pred_cols.resize(truth.cols());
-  scratch.obs_cols.resize(truth.cols());
-  tensor::kernels::col_sums_i32_width(truth.data(), truth.rows(), truth.cols(), cfg.bits, sat,
-                                      scratch.pred_cols.data());
-  tensor::kernels::col_sums_i32_width(faulted.data(), faulted.rows(), faulted.cols(), cfg.bits,
-                                      sat, scratch.obs_cols.data());
-  Reg msd(cfg.bits, cfg.overflow);
-  for (std::size_t j = 0; j < truth.cols(); ++j) {
-    const std::int64_t d =
-        util::width_sub(scratch.obs_cols[j], scratch.pred_cols[j], cfg.bits, sat);
-    if (d != 0) ++res.nonzero_cols;
-    msd.add(d);
-  }
-  res.msd = msd.value();
+  res.msd = stats.msd;
+  res.nonzero_cols = stats.nonzero_cols;
+  res.nonzero_rows = stats.nonzero_rows;
   res.col_flagged = util::abs_u64(res.msd) > cfg.msd_threshold;
   if (cfg.two_sided) res.col_flagged = res.col_flagged || res.nonzero_cols > 0;
-
-  // Row side (two-sided only, like the reference pipeline).
-  if (cfg.two_sided) {
-    scratch.pred_rows.resize(truth.rows());
-    scratch.obs_rows.resize(truth.rows());
-    tensor::kernels::row_sums_i32_width(truth.data(), truth.rows(), truth.cols(), cfg.bits, sat,
-                                        scratch.pred_rows.data());
-    tensor::kernels::row_sums_i32_width(faulted.data(), faulted.rows(), faulted.cols(), cfg.bits,
-                                        sat, scratch.obs_rows.data());
-    for (std::size_t r = 0; r < truth.rows(); ++r) {
-      if (util::width_sub(scratch.obs_rows[r], scratch.pred_rows[r], cfg.bits, sat) != 0) {
-        ++res.nonzero_rows;
-      }
-    }
-    res.row_flagged = res.nonzero_rows > 0;
-  }
-
+  res.row_flagged = res.nonzero_rows > 0;  // two_sided only: rows unscreened otherwise
   res.flagged = res.col_flagged || res.row_flagged;
   return res;
 }
@@ -139,40 +125,25 @@ bool simulate_patch(const tensor::MatI32& truth, const tensor::MatI32& faulted,
   if (truth.rows() != faulted.rows() || truth.cols() != faulted.cols()) {
     throw std::invalid_argument("sa::simulate_patch: truth/faulted shape mismatch");
   }
-  const std::size_t m = truth.rows();
-  const std::size_t n = truth.cols();
   const bool sat = cfg.overflow == Overflow::kSaturate;
 
-  // Plain deviations through the same width-limited kernels the screen uses;
-  // weighted deviations through the ordered Reg drains above.
-  std::vector<std::int64_t> pred_cols(n), obs_cols(n), pred_rows(m), obs_rows(m);
-  tensor::kernels::col_sums_i32_width(truth.data(), m, n, cfg.bits, sat, pred_cols.data());
-  tensor::kernels::col_sums_i32_width(faulted.data(), m, n, cfg.bits, sat, obs_cols.data());
-  tensor::kernels::row_sums_i32_width(truth.data(), m, n, cfg.bits, sat, pred_rows.data());
-  tensor::kernels::row_sums_i32_width(faulted.data(), m, n, cfg.bits, sat, obs_rows.data());
-  std::vector<std::int64_t> wpred_cols, wobs_cols, wpred_rows, wobs_rows;
-  weighted_col_sums_width(truth, cfg, wpred_cols);
-  weighted_col_sums_width(faulted, cfg, wobs_cols);
-  weighted_row_sums_width(truth, cfg, wpred_rows);
-  weighted_row_sums_width(faulted, cfg, wobs_rows);
-
-  std::vector<std::int64_t> dc(n), wdc(n), dr(m), wdr(m);
-  for (std::size_t j = 0; j < n; ++j) {
-    dc[j] = util::width_sub(obs_cols[j], pred_cols[j], cfg.bits, sat);
-    wdc[j] = util::width_sub(wobs_cols[j], wpred_cols[j], cfg.bits, sat);
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    dr[i] = util::width_sub(obs_rows[i], pred_rows[i], cfg.bits, sat);
-    wdr[i] = util::width_sub(wobs_rows[i], wpred_rows[i], cfg.bits, sat);
-  }
+  // Plain deviations through the one screen, rows always on (localization
+  // needs both sides); weighted deviations through the ordered Reg drains.
+  std::vector<std::int64_t> pred_cols;
+  detect::Deviations dev;
+  predict_width(truth, cfg, /*rows=*/true, pred_cols, dev.pred_rows);
+  static_cast<void>(
+      detect::screen_deviations(pred_cols, dev.pred_rows, faulted, cfg.bits, sat, dev));
+  weighted_deviations_width(truth, faulted, cfg, /*by_col=*/true, dev.wdc);
+  weighted_deviations_width(truth, faulted, cfg, /*by_col=*/false, dev.wdr);
 
   // The corrector's own solve, with every residual update kept in width
   // arithmetic. A wrapped deviation that still divides exactly mis-solves;
   // the truth comparison below catches it.
   tensor::MatI32 patched = faulted;
   for (const detect::correct::Patch& p :
-       detect::correct::solve_patches(dc, wdc, std::move(dr), std::move(wdr), faulted, cfg.bits,
-                                      sat)) {
+       detect::correct::solve_patches(dev.dc, dev.wdc, std::move(dev.dr), std::move(dev.wdr),
+                                      faulted, cfg.bits, sat)) {
     patched(p.row, p.col) = p.value;
   }
   return patched == truth;

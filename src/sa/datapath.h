@@ -1,17 +1,18 @@
 // Reduced-width checksum datapath model for the systolic array (Fig. 7).
 //
-// Everything in realm::detect screens with full int64 checksum arithmetic —
-// the software-reference behavior. The paper's hardware proposal cannot
-// afford 64-bit registers next to every column of the array: it keeps a
-// 16-bit eᵀW checksum row, so the predicted-side registers, the observed-side
+// realm::detect screens with full int64 checksum arithmetic — the
+// software-reference behavior. The paper's hardware proposal cannot afford
+// 64-bit registers next to every column of the array: it keeps a 16-bit eᵀW
+// checksum row, so the predicted-side registers, the observed-side
 // registers, the per-column deviations, and the MSD accumulator are all
 // reduced-width datapaths that either wrap or saturate on overflow. This
 // layer is the bit-accurate model of that hardware: the same quantize → GEMM
-// → inject → screen pipeline as detect::ProtectedGemm, but with every screen
-// quantity routed through width-truncated registers — plus the bookkeeping to
-// say exactly where the narrow datapath loses detections against the int64
-// reference. It is the first subsystem in the repo that measures *coverage*
-// rather than speed; the sweep harness on top of it lives in sa/roc.h.
+// → inject → screen pipeline as detect::ProtectedGemm, running the SAME
+// screen (detect::screen_deviations) at the reduced width instead of 64 bits
+// — plus the bookkeeping to say exactly where the narrow datapath loses
+// detections against the int64 reference. It is the first subsystem in the
+// repo that measures *coverage* rather than speed; the sweep harness on top
+// of it lives in sa/roc.h.
 //
 // Overflow semantics (shared with tensor::kernels::*_i32_width):
 //  * kWrap — carries out of the register drop (two's complement mod 2^bits).
@@ -62,8 +63,8 @@ struct DatapathConfig {
   bool two_sided = true;
 };
 
-/// One width-limited accumulator register (the scalar building block; the
-/// matrix-sized reductions ride tensor::kernels::*_i32_width instead).
+/// One width-limited accumulator register (util::width_add; the matrix-sized
+/// reductions ride tensor::kernels::*_i32_width instead).
 class Reg {
  public:
   /// Throws std::invalid_argument unless bits is in [1, 64].
@@ -94,17 +95,18 @@ struct ScreenResult {
   bool patched = false;
 };
 
-/// Recycled buffers for screen_into (column/row register files for both the
-/// predicted and observed sides).
+/// Recycled buffers for screen_into (predicted column registers; predicted
+/// rows and deviations in `dev`), so a steady-state screen allocates nothing.
 struct ScreenScratch {
-  std::vector<std::int64_t> pred_cols, obs_cols, pred_rows, obs_rows;
+  std::vector<std::int64_t> pred_cols;
+  detect::Deviations dev;
 };
 
 /// Bit-accurate reduced-width screen of a faulted accumulator against the
 /// fault-free product. `truth` feeds the predicted-side registers (the
 /// dedicated fault-free checksum datapath of Fig. 7 sees the true partial
-/// sums), `faulted` feeds the observed side; per-column/row deviations and
-/// the MSD run through registers of the same width and overflow semantics.
+/// sums); `faulted` goes through detect::screen_deviations — the same screen
+/// the int64 pipeline runs — at the datapath's width and overflow semantics.
 /// Throws std::invalid_argument on shape mismatch or bits outside [1, 64].
 [[nodiscard]] ScreenResult screen(const tensor::MatI32& truth, const tensor::MatI32& faulted,
                                   const DatapathConfig& cfg);

@@ -214,8 +214,8 @@ class TileGrid {
   /// One request through every tile: per-tile protected GEMM (injector drawn
   /// against rng.fork(tile_index)) into recycled `scratch` (resized to
   /// tile_count() on first use), per-tile outputs assembled into `out`
-  /// [m x n], verdicts merged into `verdict`. Steady-state zero-alloc when
-  /// the caller recycles all three buffers across requests.
+  /// [m x n], verdicts merged into `verdict`. With all three buffers recycled,
+  /// the tiles' clean screens allocate nothing; each tile's GEMM still does.
   ///
   /// Non-null `memory` puts the request under the memory-hierarchy fault
   /// model: each tile consumes a kActivations stream at op
@@ -264,8 +264,7 @@ class TileGrid {
 
   /// Shared tile loop. `injectors[t * stride]` is tile t's injector: stride 0
   /// broadcasts one injector to every tile without materializing a per-tile
-  /// pointer array (the zero-alloc serving hot path), stride 1 walks the
-  /// per-tile span.
+  /// pointer array (the serving hot path), stride 1 walks the per-tile span.
   void run_tiles(const tensor::MatI8& a8, tensor::QuantParams qa,
                  const fault::FaultInjector* const* injectors, std::size_t stride,
                  const util::Rng& rng, std::vector<detect::ProtectedGemmResult>& scratch,

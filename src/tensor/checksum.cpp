@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "tensor/checksum_kernels.h"
-#include "util/bitmath.h"
 
 namespace realm::tensor {
 
@@ -76,45 +75,6 @@ std::vector<std::int64_t> predict_row_checksum(const MatI8& a,
 std::vector<std::int64_t> predict_row_checksum(const MatI8& a, const MatI8& b) {
   if (a.cols() != b.rows()) throw std::invalid_argument("predict_row_checksum: dim mismatch");
   return predict_row_checksum(a, row_sums(b));
-}
-
-ColumnDeviation column_deviation_from_predicted(const std::vector<std::int64_t>& predicted,
-                                                const MatI32& c) {
-  if (predicted.size() != c.cols()) {
-    throw std::invalid_argument("column_deviation: checksum length mismatch");
-  }
-  ColumnDeviation dev;
-  dev.diff.resize(c.cols());
-  const std::vector<std::int64_t> observed = col_sums(c);
-  // Saturating arithmetic throughout: a wrapped accumulator would alias a
-  // huge deviation to a small one and mask exactly the bursts the MSD
-  // statistic exists to expose (see bitmath.h).
-  std::int64_t signed_sum = 0;
-  std::uint64_t l1 = 0;
-  for (std::size_t j = 0; j < c.cols(); ++j) {
-    const std::int64_t d = util::sat_sub_i64(observed[j], predicted[j]);
-    dev.diff[j] = d;
-    signed_sum = util::sat_add_i64(signed_sum, d);
-    l1 = util::sat_add_u64(l1, util::abs_u64(d));
-  }
-  dev.msd_signed = signed_sum;
-  dev.msd_abs = util::abs_u64(signed_sum);
-  dev.l1 = l1;
-  return dev;
-}
-
-ColumnDeviation column_deviation(const MatI8& a, const MatI8& b, const MatI32& c) {
-  return column_deviation_from_predicted(predict_col_checksum(a, b), c);
-}
-
-std::vector<std::int64_t> row_deviation(const MatI8& a, const MatI8& b, const MatI32& c) {
-  const std::vector<std::int64_t> predicted = predict_row_checksum(a, b);
-  const std::vector<std::int64_t> observed = row_sums(c);
-  std::vector<std::int64_t> diff(predicted.size());
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    diff[i] = util::sat_sub_i64(observed[i], predicted[i]);
-  }
-  return diff;
 }
 
 }  // namespace realm::tensor

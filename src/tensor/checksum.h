@@ -6,9 +6,10 @@
 // consumes the per-column deviation vector d and its sum (the matrix-sum
 // deviation, MSD = eᵀY·e − eᵀA·B·e).
 //
-// All checksum arithmetic is int64 here; reduced hardware widths (16-bit eᵀW
-// row, 32-bit accumulator buses) are modeled separately in realm::sa, which
-// reuses these exact functions with clamping.
+// All checksum arithmetic is int64 here. The deviations (observed −
+// predicted) and the MSD are computed in one place, detect::screen_deviations,
+// which runs at any register width: 64 bits for the int64 pipeline, and the
+// reduced widths (16-bit eᵀW row, 32-bit accumulator buses) realm::sa models.
 //
 // Every reduction routes through the tiered SIMD layer in
 // checksum_kernels.{h,cpp} (avx512/avx2/portable, picked by the same runtime
@@ -52,34 +53,5 @@ namespace realm::tensor {
 /// cost is O(m·k) instead of O(k·n + m·k).
 [[nodiscard]] std::vector<std::int64_t> predict_row_checksum(
     const MatI8& a, const std::vector<std::int64_t>& b_row_basis);
-
-/// Per-column deviations and their aggregates for an (possibly faulty)
-/// output C of A·B. diff[j] = (eᵀC)_j − ((eᵀA)·B)_j, which equals the sum of
-/// all error values injected into column j.
-struct ColumnDeviation {
-  std::vector<std::int64_t> diff;  ///< per-column signed deviation
-  std::int64_t msd_signed = 0;     ///< Σ diff (what the Fig. 7c accumulator computes)
-  std::uint64_t msd_abs = 0;       ///< |Σ diff|
-  std::uint64_t l1 = 0;            ///< Σ |diff| (ablation alternative; see DESIGN.md §6)
-
-  [[nodiscard]] bool any_nonzero() const noexcept {
-    for (const auto d : diff) {
-      if (d != 0) return true;
-    }
-    return false;
-  }
-};
-
-[[nodiscard]] ColumnDeviation column_deviation(const MatI8& a, const MatI8& b, const MatI32& c);
-
-/// Deviation computed from a precomputed predicted checksum (the hardware
-/// keeps eᵀW resident with the stationary weights, so prediction cost is paid
-/// once per weight tile, not once per GEMM).
-[[nodiscard]] ColumnDeviation column_deviation_from_predicted(
-    const std::vector<std::int64_t>& predicted, const MatI32& c);
-
-/// Row-side deviation for two-sided (classical) ABFT.
-[[nodiscard]] std::vector<std::int64_t> row_deviation(const MatI8& a, const MatI8& b,
-                                                      const MatI32& c);
 
 }  // namespace realm::tensor

@@ -275,24 +275,26 @@ __attribute__((target("avx2"))) void predict_col_avx2(const std::int64_t* ea,
 }
 
 __attribute__((target("avx2"))) void predict_row_avx2(const std::int8_t* a, std::size_t k,
-                                                      const std::int32_t* basis32,
-                                                      std::size_t r0, std::size_t r1,
-                                                      std::int64_t* out) {
+                                                      const std::int64_t* basis, std::size_t r0,
+                                                      std::size_t r1, std::int64_t* out) {
   for (std::size_t r = r0; r < r1; ++r) {
     const std::int8_t* arow = a + r * k;
-    __m256i acc_e = _mm256_setzero_si256();
-    __m256i acc_o = _mm256_setzero_si256();
+    __m256i acc_lo = _mm256_setzero_si256();
+    __m256i acc_hi = _mm256_setzero_si256();
     std::size_t kk = 0;
     for (; kk + 8 <= k; kk += 8) {
+      // vpmuldq multiplies the sign-extended low 32 bits of each 64-bit lane:
+      // exact here, because every basis entry was checked to fit int32.
       const __m128i a8 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(arow + kk));
-      const __m256i a32 = _mm256_cvtepi8_epi32(a8);
-      const __m256i b32 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(basis32 + kk));
-      acc_e = _mm256_add_epi64(acc_e, _mm256_mul_epi32(a32, b32));
-      acc_o = _mm256_add_epi64(
-          acc_o, _mm256_mul_epi32(_mm256_srli_epi64(a32, 32), _mm256_srli_epi64(b32, 32)));
+      const __m256i a_lo = _mm256_cvtepi8_epi64(a8);
+      const __m256i a_hi = _mm256_cvtepi8_epi64(_mm_srli_si128(a8, 4));
+      const __m256i b_lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(basis + kk));
+      const __m256i b_hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(basis + kk + 4));
+      acc_lo = _mm256_add_epi64(acc_lo, _mm256_mul_epi32(a_lo, b_lo));
+      acc_hi = _mm256_add_epi64(acc_hi, _mm256_mul_epi32(a_hi, b_hi));
     }
-    std::int64_t sum = hsum_i64_avx2(_mm256_add_epi64(acc_e, acc_o));
-    for (; kk < k; ++kk) sum += static_cast<std::int64_t>(arow[kk]) * basis32[kk];
+    std::int64_t sum = hsum_i64_avx2(_mm256_add_epi64(acc_lo, acc_hi));
+    for (; kk < k; ++kk) sum += static_cast<std::int64_t>(arow[kk]) * basis[kk];
     out[r] = sum;
   }
 }
@@ -420,24 +422,25 @@ __attribute__((target("avx512f"))) void predict_col_avx512(const std::int64_t* e
 }
 
 __attribute__((target("avx512f"))) void predict_row_avx512(const std::int8_t* a, std::size_t k,
-                                                           const std::int32_t* basis32,
+                                                           const std::int64_t* basis,
                                                            std::size_t r0, std::size_t r1,
                                                            std::int64_t* out) {
   for (std::size_t r = r0; r < r1; ++r) {
     const std::int8_t* arow = a + r * k;
-    __m512i acc_e = _mm512_setzero_si512();
-    __m512i acc_o = _mm512_setzero_si512();
+    __m512i acc_lo = _mm512_setzero_si512();
+    __m512i acc_hi = _mm512_setzero_si512();
     std::size_t kk = 0;
     for (; kk + 16 <= k; kk += 16) {
       const __m128i a8 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + kk));
-      const __m512i a32 = _mm512_cvtepi8_epi32(a8);
-      const __m512i b32 = _mm512_loadu_si512(basis32 + kk);
-      acc_e = _mm512_add_epi64(acc_e, _mm512_mul_epi32(a32, b32));
-      acc_o = _mm512_add_epi64(
-          acc_o, _mm512_mul_epi32(_mm512_srli_epi64(a32, 32), _mm512_srli_epi64(b32, 32)));
+      const __m512i a_lo = _mm512_cvtepi8_epi64(a8);
+      const __m512i a_hi = _mm512_cvtepi8_epi64(_mm_srli_si128(a8, 8));
+      const __m512i b_lo = _mm512_loadu_si512(basis + kk);
+      const __m512i b_hi = _mm512_loadu_si512(basis + kk + 8);
+      acc_lo = _mm512_add_epi64(acc_lo, _mm512_mul_epi32(a_lo, b_lo));
+      acc_hi = _mm512_add_epi64(acc_hi, _mm512_mul_epi32(a_hi, b_hi));
     }
-    std::int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc_e, acc_o));
-    for (; kk < k; ++kk) sum += static_cast<std::int64_t>(arow[kk]) * basis32[kk];
+    std::int64_t sum = _mm512_reduce_add_epi64(_mm512_add_epi64(acc_lo, acc_hi));
+    for (; kk < k; ++kk) sum += static_cast<std::int64_t>(arow[kk]) * basis[kk];
     out[r] = sum;
   }
 }
@@ -572,11 +575,14 @@ void weighted_row_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t 
 void col_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t cols, int bits,
                         bool saturate, std::int64_t* out) {
   if (cols == 0) return;
-  if (!saturate) {
+  if (!saturate || bits >= 64) {
     // Wrap is associative (exact mod 2^bits): reduce exactly with the SIMD
-    // kernels, truncate each register value once.
+    // kernels, truncate each register value once. A 64-bit register never
+    // saturates (|Σ| ≤ rows·2^31 < 2^63), so it takes the exact path too.
     col_sums_i32(m, rows, cols, out);
-    for (std::size_t j = 0; j < cols; ++j) out[j] = util::wrap_to_bits(out[j], bits);
+    if (bits < 64) {
+      for (std::size_t j = 0; j < cols; ++j) out[j] = util::wrap_to_bits(out[j], bits);
+    }
     return;
   }
   util::global_pool().parallel_for(cols, kColGrain, [&](std::size_t j0, std::size_t j1) {
@@ -587,9 +593,11 @@ void col_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t col
 void row_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t cols, int bits,
                         bool saturate, std::int64_t* out) {
   if (rows == 0) return;
-  if (!saturate) {
+  if (!saturate || bits >= 64) {
     row_sums_i32(m, rows, cols, out);
-    for (std::size_t r = 0; r < rows; ++r) out[r] = util::wrap_to_bits(out[r], bits);
+    if (bits < 64) {
+      for (std::size_t r = 0; r < rows; ++r) out[r] = util::wrap_to_bits(out[r], bits);
+    }
     return;
   }
   util::global_pool().parallel_for(rows, kRowGrain, [&](std::size_t r0, std::size_t r1) {
@@ -622,27 +630,21 @@ void predict_row_checksum(const std::int8_t* a, std::size_t m, std::size_t k,
   if (m == 0) return;
   Tier t = active_tier();
 #if REALM_X86
-  // Widen the basis to int32 once per call; the per-element products then run
-  // as vpmuldq. A basis entry outside int32 (matrices over 2^24 columns, or
-  // an adversarial caller-supplied basis) forces the scalar path.
-  std::vector<std::int32_t> basis32;
-  if (t != Tier::kPortable && all_fit_i32(basis, k)) {
-    basis32.resize(k);
-    for (std::size_t kk = 0; kk < k; ++kk) basis32[kk] = static_cast<std::int32_t>(basis[kk]);
-  } else {
-    t = Tier::kPortable;
-  }
+  // The per-element products run as vpmuldq on the low 32 bits of each basis
+  // entry. A basis entry outside int32 (matrices over 2^24 columns, or an
+  // adversarial caller-supplied basis) forces the scalar path.
+  if (t != Tier::kPortable && !all_fit_i32(basis, k)) t = Tier::kPortable;
 #else
   t = Tier::kPortable;
 #endif
   util::global_pool().parallel_for(m, kRowGrain, [&](std::size_t r0, std::size_t r1) {
 #if REALM_X86
     if (t == Tier::kAvx512) {
-      predict_row_avx512(a, k, basis32.data(), r0, r1, out);
+      predict_row_avx512(a, k, basis, r0, r1, out);
       return;
     }
     if (t == Tier::kAvx2) {
-      predict_row_avx2(a, k, basis32.data(), r0, r1, out);
+      predict_row_avx2(a, k, basis, r0, r1, out);
       return;
     }
 #endif

@@ -70,6 +70,9 @@ void weighted_row_sums_i32(const std::int32_t* m, std::size_t rows, std::size_t 
 ///    for column registers, ascending column index for row registers — and
 ///    runs a scalar loop, sharded like the exact kernels (each output element
 ///    owned by one chunk, so still deterministic at any thread count).
+///    At bits >= 64 no rail is reachable (|Σ| ≤ rows·2^31 < 2^63), so both
+///    modes take the exact SIMD reductions — the full-width screen
+///    (detect::screen_deviations at 64 bits) stays vectorized.
 void col_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t cols, int bits,
                         bool saturate, std::int64_t* out);
 void row_sums_i32_width(const std::int32_t* m, std::size_t rows, std::size_t cols, int bits,

@@ -95,4 +95,16 @@ namespace realm::util {
   return wrap_to_bits(static_cast<std::int64_t>(d), bits);
 }
 
+/// a + b through an n-bit register of either overflow semantics, the
+/// accumulate step of every width-limited register (the MSD accumulator, the
+/// weighted drains of realm::sa). Same wrap/saturate rules as width_sub; at
+/// bits == 64 with saturate this is exactly sat_add_i64.
+[[nodiscard]] constexpr std::int64_t width_add(std::int64_t a, std::int64_t b, int bits,
+                                               bool saturate) noexcept {
+  if (saturate) return clamp_to_bits(sat_add_i64(a, b), bits);
+  // Unsigned: the int64 sum could overflow at bits == 64.
+  const std::uint64_t s = static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b);
+  return wrap_to_bits(static_cast<std::int64_t>(s), bits);
+}
+
 }  // namespace realm::util

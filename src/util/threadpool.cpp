@@ -115,7 +115,7 @@ struct ThreadPool::Impl {
 
   // Current job; guarded by mu (the body itself runs unlocked, but its
   // pointer is only read under mu and only swapped while pending == 0).
-  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+  const ChunkFn* body = nullptr;
   std::size_t total = 0;
   std::size_t chunk_size = 1;
   std::size_t nchunks = 0;
@@ -134,8 +134,7 @@ ThreadPool::~ThreadPool() { delete impl_; }
 
 std::size_t ThreadPool::size() const noexcept { return impl_->concurrency; }
 
-void ThreadPool::parallel_for(std::size_t total, std::size_t grain,
-                              const std::function<void(std::size_t, std::size_t)>& body) {
+void ThreadPool::parallel_for(std::size_t total, std::size_t grain, ChunkFn body) {
   if (total == 0) return;
   if (grain < 1) grain = 1;
 

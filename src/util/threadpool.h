@@ -23,9 +23,26 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 namespace realm::util {
+
+/// Non-owning reference to a `void(begin, end)` callable: parallel_for blocks
+/// until the body has run, so unlike std::function it never copies (or
+/// allocates for) the caller's lambda.
+class ChunkFn {
+ public:
+  template <class F>
+  ChunkFn(const F& f) noexcept  // NOLINT(google-explicit-constructor): lambdas convert
+      : obj_(&f), call_([](const void* obj, std::size_t begin, std::size_t end) {
+          (*static_cast<const F*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const { call_(obj_, begin, end); }
+
+ private:
+  const void* obj_;
+  void (*call_)(const void*, std::size_t, std::size_t);
+};
 
 class ThreadPool {
  public:
@@ -44,8 +61,7 @@ class ThreadPool {
   /// possibly the last). The first exception thrown by any chunk is rethrown
   /// on the calling thread after all workers quiesce; remaining chunks are
   /// abandoned. One job runs at a time; concurrent callers serialize.
-  void parallel_for(std::size_t total, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+  void parallel_for(std::size_t total, std::size_t grain, ChunkFn body);
 
  private:
   struct Impl;

@@ -297,10 +297,25 @@ REALM_TEST(width_truncated_sums_match_register_model) {
           }
         }
       }
-      // At 64 bits both semantics reduce to the exact kernels.
-      std::vector<std::int64_t> wide(cols);
-      kernels::col_sums_i32_width(m.data(), rows, cols, 64, false, wide.data());
-      REALM_CHECK(wide == ref_col_sums(m));
+      // At 64 bits both semantics reduce to the exact kernels — including
+      // the rows·INT32_MAX and rows·INT32_MIN extremes, which no 64-bit
+      // register can saturate on.
+      for (const MatI32& wide_in :
+           {m, MatI32(rows, cols, INT32_MAX), MatI32(rows, cols, INT32_MIN)}) {
+        const std::vector<std::int64_t> want_cols = ref_col_sums(wide_in);
+        const std::vector<std::int64_t> want_rows = ref_row_sums(wide_in);
+        REALM_CHECK(col_sums(wide_in) == want_cols);
+        REALM_CHECK(row_sums(wide_in) == want_rows);
+        for (const bool saturate : {false, true}) {
+          std::vector<std::int64_t> wide_cols(cols), wide_rows(rows);
+          kernels::col_sums_i32_width(wide_in.data(), rows, cols, 64, saturate,
+                                      wide_cols.data());
+          kernels::row_sums_i32_width(wide_in.data(), rows, cols, 64, saturate,
+                                      wide_rows.data());
+          REALM_CHECK(wide_cols == want_cols);
+          REALM_CHECK(wide_rows == want_rows);
+        }
+      }
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "detect/correct.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "detect/detect.h"
@@ -230,6 +231,38 @@ REALM_TEST(patch_disabled_falls_back_to_recompute) {
   REALM_CHECK(!corrected(r.report.verdict));
   const MatI32 clean = gemm_i8(a8, pg.weights());
   REALM_CHECK_EQ(r.acc(3, 4) - clean(3, 4), 4096);
+}
+
+REALM_TEST(misshapen_inputs_are_rejected) {
+  // try_patch reads the predicted checksums, the activations and the weights
+  // against the accumulator's shape; any mismatch throws before a buffer is
+  // read past its end, and the accumulator stays untouched.
+  Rng rng(76);
+  const Fixture fx(8, 32, 16, rng);
+  MatI32 acc = fx.truth;
+  acc(2, 3) += 77;
+  const MatI32 faulted = acc;
+  const auto patch_with = [&](const std::vector<std::int64_t>& predicted, const MatI8& a8,
+                              MatI32& target) {
+    return try_patch(fx.pg.config(), predicted, a8, fx.pg.weights(), fx.pg.weight_row_basis(),
+                     fx.pg.weight_row_wbasis(), target);
+  };
+  // Predicted column checksum shorter than the accumulator is wide.
+  const std::vector<std::int64_t> short_pred(fx.predicted.begin(), fx.predicted.end() - 3);
+  REALM_CHECK_THROWS(patch_with(short_pred, fx.a8, acc), std::invalid_argument);
+  // More activation rows than accumulator rows (and fewer).
+  REALM_CHECK_THROWS(patch_with(fx.predicted, random_i8(64, 32, rng), acc),
+                     std::invalid_argument);
+  REALM_CHECK_THROWS(patch_with(fx.predicted, random_i8(2, 32, rng), acc),
+                     std::invalid_argument);
+  // An accumulator narrower than the weights.
+  MatI32 narrow(8, 4, 0);
+  REALM_CHECK_THROWS(patch_with(std::vector<std::int64_t>(4, 0), fx.a8, narrow),
+                     std::invalid_argument);
+  REALM_CHECK(acc == faulted);
+  // The well-shaped call still heals the same accumulator.
+  REALM_CHECK(patch_with(fx.predicted, fx.a8, acc).outcome == PatchOutcome::kPatched);
+  REALM_CHECK(acc == fx.truth);
 }
 
 REALM_TEST_MAIN()

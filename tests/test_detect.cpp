@@ -1,10 +1,14 @@
 #include "detect/detect.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 
 #include "realm_test.h"
+#include "sa/datapath.h"
 #include "tensor/checksum.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_kernels.h"
@@ -17,6 +21,21 @@ using namespace realm::detect;
 using namespace realm::tensor;
 using namespace realm::fault;
 using realm::util::Rng;
+
+// Counting global operator new: every allocation of the test binary bumps
+// the counter, so a case can pin a code path as allocation-free.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -157,24 +176,6 @@ REALM_TEST(msd_only_mode_and_thresholding) {
   REALM_CHECK(above.report.verdict == Verdict::kDetected);
 }
 
-REALM_TEST(narrow_msd_datapath_still_detects_sign) {
-  // A 16-bit MSD bus saturates on a huge deviation instead of wrapping to a
-  // small alias; detection survives the reduced-width hardware model.
-  Rng rng(36);
-  DetectionConfig cfg;
-  cfg.mode = CheckMode::kMsdOnly;
-  cfg.msd_datapath_bits = 16;
-  cfg.patch_on_detect = false;
-  cfg.recompute_on_detect = false;
-  ProtectedGemm pg = make_pg(32, 16, rng, cfg);
-  const MatF a = random_f32(4, 32, rng);
-  const QuantParams qa = calibrate(a.flat());
-  const ProtectedGemmResult r =
-      pg.run_quantized(quantize(a, qa), qa, MagFreqInjector(1 << 24, 3), rng);
-  REALM_CHECK(r.report.verdict == Verdict::kDetected);
-  REALM_CHECK_EQ(r.report.msd_signed, std::int64_t{32767});  // saturated, not aliased
-}
-
 namespace {
 
 /// Opposite-sign errors in one column: zero per-column deviation, zero MSD —
@@ -235,7 +236,6 @@ REALM_TEST(screen_accumulator_matches_pipeline_verdict) {
     REALM_CHECK(v.verdict == r.report.verdict);
     REALM_CHECK_EQ(v.msd_signed, r.report.msd_signed);
     REALM_CHECK_EQ(v.msd_abs, r.report.msd_abs);
-    REALM_CHECK_EQ(v.l1, r.report.l1);
     REALM_CHECK_EQ(v.max_dev_pow2, r.report.max_dev_pow2);
     REALM_CHECK(v.fault_cols == r.report.fault_cols);
     REALM_CHECK(v.fault_rows == r.report.fault_rows);
@@ -352,9 +352,81 @@ REALM_TEST(misuse_is_rejected) {
   REALM_CHECK_THROWS(pg.run(MatF(2, 2, 1.0f), none, rng), std::logic_error);
   pg.set_weights(MatF(4, 4, 1.0f));
   REALM_CHECK_THROWS(pg.run(MatF(2, 5, 1.0f), none, rng), std::invalid_argument);
-  DetectionConfig bad;
-  bad.msd_datapath_bits = 0;
-  REALM_CHECK_THROWS(ProtectedGemm{bad}, std::invalid_argument);
+
+  // The standalone screen rejects misshapen inputs instead of reading past
+  // a buffer: more activation rows than accumulator rows (the row side),
+  // a predicted column checksum of the wrong length, and a basis that does
+  // not match the activation width.
+  const MatI8 tall(64, 8, 1);
+  const std::vector<std::int64_t> basis8(8, 0), basis5(5, 0), cols4(4, 0), cols3(3, 0);
+  const MatI32 acc(2, 4, 0);
+  const DetectionConfig two_sided{};
+  DetectionConfig msd_only;
+  msd_only.mode = CheckMode::kMsdOnly;
+  REALM_CHECK_THROWS(screen_accumulator(two_sided, cols4, tall, basis8, acc),
+                     std::invalid_argument);
+  REALM_CHECK_THROWS(screen_accumulator(two_sided, cols3, MatI8(2, 8, 1), basis8, acc),
+                     std::invalid_argument);
+  REALM_CHECK_THROWS(screen_accumulator(two_sided, cols4, MatI8(2, 8, 1), basis5, acc),
+                     std::invalid_argument);
+  REALM_CHECK_THROWS(screen_accumulator(msd_only, cols3, tall, basis8, acc),
+                     std::invalid_argument);
+  // One-sided screens never read the activations: only the columns matter.
+  REALM_CHECK(screen_accumulator(msd_only, cols4, tall, basis8, acc).verdict == Verdict::kClean);
+  REALM_CHECK(screen_accumulator(two_sided, cols4, MatI8(2, 8, 1), basis8, acc).verdict ==
+              Verdict::kClean);
+}
+
+REALM_TEST(recycled_screen_makes_no_allocations) {
+  // With caller-owned deviations recycled across calls, a clean-tile screen
+  // allocates nothing after the first call — in both check modes, and for
+  // the reduced-width sa screen with a recycled ScreenScratch. Only the
+  // screen is counted; the GEMM that produced the accumulator runs outside.
+  Rng rng(44);
+  const MatF w = random_f32(96, 80, rng);
+  const MatF a = random_f32(12, 96, rng);
+  const QuantParams qa = calibrate(a.flat());
+  const MatI8 a8 = quantize(a, qa);
+  constexpr int kCalls = 16;
+  for (const CheckMode mode : {CheckMode::kMsdOnly, CheckMode::kTwoSided}) {
+    DetectionConfig cfg;
+    cfg.mode = mode;
+    ProtectedGemm pg(cfg);
+    pg.set_weights(w);
+    const std::vector<std::int64_t> predicted = predict_col_checksum(a8, pg.weights());
+    const MatI32 acc = gemm_i8(a8, pg.weights());
+    Deviations dev;
+    bool all_clean =
+        screen_accumulator(cfg, predicted, a8, pg.weight_row_basis(), acc, dev).verdict ==
+        Verdict::kClean;
+    const std::size_t before = allocations();
+    for (int call = 0; call < kCalls; ++call) {
+      all_clean = all_clean &&
+                  screen_accumulator(cfg, predicted, a8, pg.weight_row_basis(), acc, dev)
+                          .verdict == Verdict::kClean;
+    }
+    const std::size_t made = allocations() - before;
+    REALM_CHECK(all_clean);
+    REALM_CHECK_EQ(made, std::size_t{0});
+  }
+
+  ProtectedGemm pg;
+  pg.set_weights(w);
+  const MatI32 truth = gemm_i8(a8, pg.weights());
+  realm::sa::ScreenScratch scratch;
+  for (const realm::sa::DatapathConfig& dp :
+       {realm::sa::DatapathConfig{16, realm::sa::Overflow::kWrap, 0, true},
+        realm::sa::DatapathConfig{24, realm::sa::Overflow::kSaturate, 0, true},
+        realm::sa::DatapathConfig{64, realm::sa::Overflow::kSaturate, 0, false}}) {
+    bool all_clean = !realm::sa::screen_into(truth, truth, dp, scratch).flagged;
+    const std::size_t before = allocations();
+    for (int call = 0; call < kCalls; ++call) {
+      all_clean = all_clean && !realm::sa::screen_into(truth, truth, dp, scratch).flagged;
+    }
+    const std::size_t made = allocations() - before;
+    REALM_CHECK(all_clean);
+    REALM_CHECK_EQ(made, std::size_t{0});
+  }
 }
 
 REALM_TEST_MAIN()
