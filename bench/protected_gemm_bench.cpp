@@ -98,7 +98,7 @@ int usage() {
             << "  --smoke      tiny shape set (128^3 plus a ragged edge shape); paired\n"
             << "               with --repeat 1 it drives every SIMD reduction and fused\n"
             << "               path once under the sanitizer CI leg\n"
-            << "  --serve-async  continuous-batching mode: multi-tenant submit/poll\n"
+            << "  --serve-async  async serving mode: multi-tenant submit/poll\n"
             << "               traffic with mixed priorities and shapes, a tile-by-tile\n"
             << "               weight hot-swap mid-stream, and per-tenant req/s +\n"
             << "               sliding-window p50/p99; exits nonzero on any dropped\n"
@@ -250,7 +250,7 @@ void write_json(const std::string& path, const std::vector<ShapeResult>& results
   os << "  ]\n}\n";
 }
 
-/// Async continuous-batching mode: multi-tenant submit/poll traffic with
+/// Async serving mode: multi-tenant submit/poll traffic with
 /// mixed priorities and mixed request shapes through the persistent-worker
 /// engine, plus a tile-by-tile weight hot-swap landing mid-stream, then a
 /// fault-load phase (every request injected) measured once with the in-place

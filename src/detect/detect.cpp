@@ -215,7 +215,7 @@ void ProtectedGemm::run_quantized_into(const tensor::MatI8& a8, tensor::QuantPar
   const bool strike_acts =
       memory != nullptr && memory->enabled(fault::Component::kActivations);
   std::uint64_t activation_flips = 0;
-  std::vector<std::int64_t> predicted_cols;
+  std::vector<std::int64_t>& predicted_cols = result.predicted_cols;
   const tensor::MatI8* gemm_a = &a8;
   if (strike_acts) {
     // Per-request activation strike: the array consumes a working copy hit

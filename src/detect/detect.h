@@ -141,6 +141,9 @@ struct ProtectedGemmResult {
   tensor::MatF output;     ///< dequantized float output of `acc`
   DetectionVerdict report;
   Deviations dev;  ///< the run's last screen; recycled like acc/output
+  /// Predicted column checksum eᵀ(A·W) the screen compared against (the
+  /// GEMM's fused sums on the injector-only path); recycled likewise.
+  std::vector<std::int64_t> predicted_cols;
   /// Working copy of the activation operand when the memory fault model is
   /// live: the GEMM consumes this (possibly corrupted) image while the
   /// caller's a8 stands in for the producer's golden copy. Recycled across
@@ -206,7 +209,8 @@ class ProtectedGemm {
 
   /// Steady-state serving variant: recycles `result`'s buffers (resized only
   /// on shape change), so back-to-back protected GEMMs pay no page faults
-  /// and a clean screen no allocation (the GEMM still allocates per run).
+  /// and, after the first call on a thread, a clean tile allocates nothing
+  /// (the GEMM's A pack lives in per-thread scratch).
   /// The report is reset; all other semantics identical to run_quantized.
   ///
   /// When `memory` is non-null and its activation BER is nonzero, the run

@@ -1,5 +1,6 @@
-// Async continuous-batching serving engine over a TileGrid — the layer that
-// turns one protected GEMM into a traffic-serving system.
+// Async serving engine over a TileGrid — the layer that turns one protected
+// GEMM into a traffic-serving system. Each persistent worker claims one
+// ticket at a time and runs it through every tile; requests are not batched.
 //
 // Lifecycle of a request:
 //
@@ -173,10 +174,10 @@ struct Response {
 /// Accounting snapshot: engine-wide from stats() (the sum of every tenant's
 /// row), or one tenant's row from tenant_stats(). The latency quantiles are
 /// sliding-window over the most recent `ServeConfig::stats_window`
-/// completions — NOT per-batch (there are no batches under continuous
-/// batching) and NOT whole-history (which goes stale); the `window_` prefix
-/// is deliberate so readers of the old per-batch `p50_ms`/`p99_ms` fields
-/// cannot silently misread them.
+/// completions — NOT per-batch (a worker runs one request at a time, so there
+/// are no batches) and NOT whole-history (which goes stale); the `window_`
+/// prefix is deliberate so readers of the old per-batch `p50_ms`/`p99_ms`
+/// fields cannot silently misread them.
 struct ServeStats {
   std::string tenant;           ///< tenant_stats(): the tenant; stats(): empty
   std::uint64_t submitted = 0;  ///< admitted tickets

@@ -215,7 +215,8 @@ class TileGrid {
   /// against rng.fork(tile_index)) into recycled `scratch` (resized to
   /// tile_count() on first use), per-tile outputs assembled into `out`
   /// [m x n], verdicts merged into `verdict`. With all three buffers recycled,
-  /// the tiles' clean screens allocate nothing; each tile's GEMM still does.
+  /// a clean tile's protected GEMM and screen allocate nothing (see
+  /// ProtectedGemm::run_quantized_into).
   ///
   /// Non-null `memory` puts the request under the memory-hierarchy fault
   /// model: each tile consumes a kActivations stream at op

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,18 @@
 #define REALM_X86 0
 #endif
 
+// GCC 12 copies the tied accumulator of _mm512_dpbusd_epi32 in and out of a
+// scratch register around every call (about 30 zmm moves and two stack stores
+// per 16 vpdpbusd in the 8-row avx512 k-loop), and does the same to the
+// avx2 tier's _mm256_add_epi32. On GCC the k-loops therefore accumulate
+// through "+v"/"+x" inline asm (dpbusd, madd_acc) and keep each panel row
+// live until every row has consumed it. Other compilers get the intrinsics.
+#if defined(__GNUC__) && !defined(__clang__)
+#define REALM_GCC_ASM 1
+#else
+#define REALM_GCC_ASM 0
+#endif
+
 namespace realm::tensor::kernels {
 
 namespace {
@@ -34,10 +47,16 @@ constexpr std::size_t kMr512 = 8, kNr512 = 32;
 constexpr std::size_t kMr256 = 4, kNr256 = 16;
 /// Rows of A converted (u8 on avx512, int16 on avx2) at a time; keeps the
 /// converted block L2-resident for typical k (64 rows x 1024 x 1B = 64 KiB
-/// as u8), 4 MiB as u8 (8 MiB as int16) at the kMaxK worst case.
+/// as u8), 4 MiB as u8 (8 MiB as int16) at the kMaxK worst case. The block
+/// lives in per-thread scratch that keeps the largest size its thread saw.
 constexpr std::size_t kRowBlock = 64;
 /// parallel_for grain: at least one full microkernel tile of rows per chunk.
 constexpr std::size_t kRowGrain = 8;
+/// How far ahead of the microkernel's k-loop the panel stream is prefetched:
+/// 32 avx512 panel rows of 128 B, or 64 avx2 rows of 64 B. Without it a
+/// decode-sized tile (few rows of A against a long panel) stalls on every
+/// L3 line; the hardware prefetchers do not run far enough ahead.
+constexpr std::size_t kPrefetchBytes = 4096;
 
 #if REALM_X86
 
@@ -187,6 +206,18 @@ void pack_a_u8(const std::int8_t* a, std::size_t k, std::size_t kpad, std::size_
   }
 }
 
+/// Prefetch the `Bytes`-long panel row that lies kPrefetchBytes past `row`,
+/// one 64 B cache line at a time. A prefetch is a hint that cannot fault, so
+/// running past the last panel needs no clamp; the address is formed as an
+/// integer because a pointer past the end of an allocation may not be formed.
+template <std::size_t Bytes>
+inline void prefetch_row(const void* row) noexcept {
+  const std::uintptr_t ahead = reinterpret_cast<std::uintptr_t>(row) + kPrefetchBytes;
+  for (std::size_t line = 0; line < Bytes; line += 64) {
+    _mm_prefetch(reinterpret_cast<const char*>(ahead + line), _MM_HINT_T0);
+  }
+}
+
 /// Broadcastable A group (an int16 pair or a u8 quad) read without alignment
 /// or aliasing UB; compiles to a single 32-bit load.
 inline std::int32_t a_group(const void* p) noexcept {
@@ -239,27 +270,59 @@ void portable_rows(const std::int8_t* a, const std::int8_t* b, std::int32_t* c, 
 // AVX2 tier: 4x16 int32 accumulator tile, two vpmaddwd per A pair.
 // ---------------------------------------------------------------------------
 
-__attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std::size_t lda,
-                                                    const std::int16_t* pb, std::size_t kpairs,
-                                                    std::int32_t* c, std::size_t ldc,
-                                                    std::int64_t* csum) {
-  __m256i acc[kMr256][2];
-  for (std::size_t r = 0; r < kMr256; ++r) {
+/// acc + vpmaddwd(a, b), accumulated in place (see REALM_GCC_ASM).
+__attribute__((target("avx2"), always_inline)) inline __m256i madd_acc(__m256i acc, __m256i a,
+                                                                       __m256i b) noexcept {
+  const __m256i prod = _mm256_madd_epi16(a, b);
+#if REALM_GCC_ASM
+  __asm__("vpaddd {%1, %0, %0|%0, %0, %1}" : "+x"(acc) : "x"(prod));
+  return acc;
+#else
+  return _mm256_add_epi32(acc, prod);
+#endif
+}
+
+/// One MR x 16 tile over a panel's k-pairs; same store and fused-eᵀC scheme
+/// as kern_avx512.
+template <std::size_t MR>
+__attribute__((target("avx2"))) void kern_avx2(const std::int16_t* a16, std::size_t lda,
+                                               const std::int16_t* pb, std::size_t kpairs,
+                                               std::int32_t* c, std::size_t ldc, std::size_t jw,
+                                               std::int64_t* csum) {
+  __m256i acc[MR][2];
+  for (std::size_t r = 0; r < MR; ++r) {
     acc[r][0] = _mm256_setzero_si256();
     acc[r][1] = _mm256_setzero_si256();
   }
   for (std::size_t kp = 0; kp < kpairs; ++kp) {
+    prefetch_row<2 * kNr256 * sizeof(std::int16_t)>(pb + kp * 2 * kNr256);
     const __m256i b0 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256));
     const __m256i b1 =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
-    for (std::size_t r = 0; r < kMr256; ++r) {
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < MR; ++r) {
       const __m256i av = _mm256_set1_epi32(a_group(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
-      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
+      acc[r][0] = madd_acc(acc[r][0], av, b0);
+      acc[r][1] = madd_acc(acc[r][1], av, b1);
     }
+#if REALM_GCC_ASM
+    __asm__("" : : "xm"(b0), "xm"(b1));  // see kern_avx512
+#endif
   }
-  for (std::size_t r = 0; r < kMr256; ++r) {
+  if (jw < kNr256) {
+    alignas(32) std::int32_t tmp[kNr256];
+    for (std::size_t r = 0; r < MR; ++r) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[r][0]);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc[r][1]);
+      std::memcpy(c + r * ldc, tmp, jw * sizeof(std::int32_t));
+      if (csum) {
+        for (std::size_t j = 0; j < jw; ++j) csum[j] += tmp[j];
+      }
+    }
+    return;
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc), acc[r][0]);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + r * ldc + 8), acc[r][1]);
   }
@@ -269,7 +332,7 @@ __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std
     // values of magnitude 2^30 exceed int32, so widen before the row fold).
     for (std::size_t h = 0; h < 2; ++h) {
       __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
-      for (std::size_t r = 0; r < kMr256; ++r) {
+      for (std::size_t r = 0; r < MR; ++r) {
         lo = _mm256_add_epi64(lo, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[r][h])));
         hi = _mm256_add_epi64(hi,
                               _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[r][h], 1)));
@@ -285,37 +348,12 @@ __attribute__((target("avx2"))) void kern_avx2_full(const std::int16_t* a16, std
   }
 }
 
-__attribute__((target("avx2"))) void kern_avx2_edge(const std::int16_t* a16, std::size_t lda,
-                                                    const std::int16_t* pb, std::size_t kpairs,
-                                                    std::int32_t* c, std::size_t ldc,
-                                                    std::size_t mr, std::size_t jw,
-                                                    std::int64_t* csum) {
-  __m256i acc[kMr256][2];
-  for (std::size_t r = 0; r < mr; ++r) {
-    acc[r][0] = _mm256_setzero_si256();
-    acc[r][1] = _mm256_setzero_si256();
-  }
-  for (std::size_t kp = 0; kp < kpairs; ++kp) {
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256));
-    const __m256i b1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + kp * 2 * kNr256 + 16));
-    for (std::size_t r = 0; r < mr; ++r) {
-      const __m256i av = _mm256_set1_epi32(a_group(a16 + r * lda + 2 * kp));
-      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
-      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
-    }
-  }
-  alignas(32) std::int32_t tmp[kNr256];
-  for (std::size_t r = 0; r < mr; ++r) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[r][0]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc[r][1]);
-    std::memcpy(c + r * ldc, tmp, jw * sizeof(std::int32_t));
-    if (csum) {
-      for (std::size_t j = 0; j < jw; ++j) csum[j] += tmp[j];
-    }
-  }
-}
+using KernAvx2 = void (*)(const std::int16_t*, std::size_t, const std::int16_t*, std::size_t,
+                          std::int32_t*, std::size_t, std::size_t, std::int64_t*);
+
+/// kern_avx2<R + 1> at index R.
+constexpr std::array<KernAvx2, kMr256> kKernAvx2 = {&kern_avx2<1>, &kern_avx2<2>, &kern_avx2<3>,
+                                                    &kern_avx2<4>};
 
 __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::int16_t* pb,
                                                std::int32_t* c, std::size_t k, std::size_t n,
@@ -324,24 +362,22 @@ __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::
   const std::size_t kpairs = (k + 1) / 2;
   const std::size_t kpad = 2 * kpairs;
   const std::size_t panels = (n + kNr256 - 1) / kNr256;
-  std::vector<std::int16_t> a16(std::min(kRowBlock, i1 - i0) * kpad);
+  // Per-thread and grow-only, so a steady-state call allocates nothing.
+  thread_local std::vector<std::int16_t> a16_buf;
+  a16_buf.resize(std::max(a16_buf.size(), std::min(kRowBlock, i1 - i0) * kpad));
+  std::int16_t* const a16 = a16_buf.data();
   for (std::size_t ib = i0; ib < i1; ib += kRowBlock) {
     const std::size_t ie = std::min(i1, ib + kRowBlock);
-    pack_a_i16(a, k, kpad, ib, ie, a16.data());
+    pack_a_i16(a, k, kpad, ib, ie, a16);
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr256;
       const std::size_t jw = std::min(kNr256, n - j0);
       const std::int16_t* pbp = pb + p * kpairs * 2 * kNr256;
       for (std::size_t i = ib; i < ie; i += kMr256) {
         const std::size_t mr = std::min(kMr256, ie - i);
-        const std::int16_t* arows = a16.data() + (i - ib) * kpad;
-        std::int32_t* crows = c + i * n + j0;
+        const std::int16_t* arows = a16 + (i - ib) * kpad;
         std::int64_t* cs = csum ? csum + j0 : nullptr;
-        if (mr == kMr256 && jw == kNr256) {
-          kern_avx2_full(arows, kpad, pbp, kpairs, crows, n, cs);
-        } else {
-          kern_avx2_edge(arows, kpad, pbp, kpairs, crows, n, mr, jw, cs);
-        }
+        kKernAvx2[mr - 1](arows, kpad, pbp, kpairs, c + i * n + j0, n, jw, cs);
       }
     }
   }
@@ -361,6 +397,18 @@ __attribute__((target("avx2"))) void avx2_rows(const std::int8_t* a, const std::
 // vpmovsxdq widening in the fused store phase; see src/util/compiler.h.
 REALM_BEGIN_AVX512_SECTION
 
+/// acc + vpdpbusd(a, b), accumulated in place (see REALM_GCC_ASM); `b` may
+/// stay in memory, an L1-hot panel row.
+__attribute__((target("avx512f,avx512vnni"), always_inline)) inline __m512i dpbusd(
+    __m512i acc, __m512i a, __m512i b) noexcept {
+#if REALM_GCC_ASM
+  __asm__("vpdpbusd {%2, %1, %0|%0, %1, %2}" : "+v"(acc) : "v"(a), "vm"(b));
+  return acc;
+#else
+  return _mm512_dpbusd_epi32(acc, a, b);
+#endif
+}
+
 /// One MR x 32 tile over a panel's k-quads. A full-width tile stores and
 /// reduces eᵀC straight from the registers; the ragged last panel (jw < 32)
 /// spills through a stack tile.
@@ -374,14 +422,20 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void kern_avx512(
     acc[r][1] = _mm512_setzero_si512();
   }
   for (std::size_t q = 0; q < kquads; ++q) {
+    prefetch_row<kQuadRow>(pb + q * kQuadRow);
     const __m512i b0 = _mm512_loadu_si512(pb + q * kQuadRow);
     const __m512i b1 = _mm512_loadu_si512(pb + q * kQuadRow + 64);
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < MR; ++r) {
       const __m512i av = _mm512_set1_epi32(a_group(au8 + r * lda + 4 * q));
-      acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], av, b0);
-      acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], av, b1);
+      acc[r][0] = dpbusd(acc[r][0], av, b0);
+      acc[r][1] = dpbusd(acc[r][1], av, b1);
     }
+#if REALM_GCC_ASM
+    // Keep the panel row live to here; otherwise GCC hands its register to
+    // the last accumulator and copies that one in and out instead.
+    __asm__("" : : "vm"(b0), "vm"(b1));
+#endif
   }
   const __m512i bias0 = _mm512_loadu_si512(pb + kquads * kQuadRow);
   const __m512i bias1 = _mm512_loadu_si512(pb + kquads * kQuadRow + 64);
@@ -440,17 +494,19 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void avx512_rows(
   const std::size_t kpad = 4 * kquads;
   const std::size_t panels = (n + kNr512 - 1) / kNr512;
   const auto* pbytes = reinterpret_cast<const unsigned char*>(pb);
-  std::vector<std::uint8_t> au8(std::min(kRowBlock, i1 - i0) * kpad);
+  thread_local std::vector<std::uint8_t> au8_buf;  // as in avx2_rows
+  au8_buf.resize(std::max(au8_buf.size(), std::min(kRowBlock, i1 - i0) * kpad));
+  std::uint8_t* const au8 = au8_buf.data();
   for (std::size_t ib = i0; ib < i1; ib += kRowBlock) {
     const std::size_t ie = std::min(i1, ib + kRowBlock);
-    pack_a_u8(a, k, kpad, ib, ie, au8.data());
+    pack_a_u8(a, k, kpad, ib, ie, au8);
     for (std::size_t p = 0; p < panels; ++p) {
       const std::size_t j0 = p * kNr512;
       const std::size_t jw = std::min(kNr512, n - j0);
       const unsigned char* pbp = pbytes + p * (kquads + 1) * kQuadRow;
       for (std::size_t i = ib; i < ie; i += kMr512) {
         const std::size_t mr = std::min(kMr512, ie - i);
-        const std::uint8_t* arows = au8.data() + (i - ib) * kpad;
+        const std::uint8_t* arows = au8 + (i - ib) * kpad;
         std::int64_t* cs = csum ? csum + j0 : nullptr;
         kKernAvx512[mr - 1](arows, kpad, pbp, kquads, c + i * n + j0, n, jw, cs);
       }
@@ -507,7 +563,8 @@ std::atomic<Tier>& tier_slot() {
 /// Row-shard `rows(i0, i1, shard_csum)` across the global pool. With a fused
 /// `csum` requested, each shard reduces into a private partial merged under a
 /// lock — int64 addition is associative and commutative, so the merged sums
-/// are bit-identical at every thread count and merge order.
+/// are bit-identical at every thread count and merge order. A single chunk
+/// covering every row reduces straight into `csum`.
 template <typename Rows>
 void shard_rows_fused(std::size_t m, std::size_t n, std::int64_t* csum, const Rows& rows) {
   if (!csum) {
@@ -517,6 +574,10 @@ void shard_rows_fused(std::size_t m, std::size_t n, std::int64_t* csum, const Ro
   }
   std::mutex mu;
   util::global_pool().parallel_for(m, kRowGrain, [&](std::size_t i0, std::size_t i1) {
+    if (i1 - i0 == m) {  // one chunk (a serial pool or a nested call): no merge
+      rows(i0, i1, csum);
+      return;
+    }
     std::vector<std::int64_t> local(n, 0);
     rows(i0, i1, local.data());
     const std::lock_guard<std::mutex> lock(mu);

@@ -429,4 +429,54 @@ REALM_TEST(recycled_screen_makes_no_allocations) {
   }
 }
 
+REALM_TEST(recycled_clean_tile_makes_no_allocations) {
+  // The whole clean-tile pipeline (GEMM with its A pack and fused column
+  // sums, screen, dequantize) allocates nothing once a recycled result and
+  // the calling thread's GEMM scratch have seen the shape. The kernel pool is
+  // pinned to one thread, as on a serving worker, where every tile's GEMM
+  // runs inline; a wider pool would warm each worker's scratch on whichever
+  // call first hands it a chunk.
+  struct Restore {
+    std::size_t threads = realm::util::global_threads();
+    kernels::Tier tier = kernels::active_tier();
+    ~Restore() {
+      realm::util::set_global_threads(threads);
+      kernels::set_active_tier(tier);
+    }
+  } restore;
+  realm::util::set_global_threads(1);
+  Rng rng(45);
+  // n = 72 leaves a ragged last panel on both SIMD tiers.
+  const MatF w = random_f32(200, 72, rng);
+  const NullInjector none;
+  constexpr int kCalls = 8;
+  for (const kernels::Tier tier :
+       {kernels::Tier::kPortable, kernels::Tier::kAvx2, kernels::Tier::kAvx512}) {
+    if (tier > kernels::best_supported_tier()) continue;
+    kernels::set_active_tier(tier);  // before set_weights, which packs for it
+    for (const CheckMode mode : {CheckMode::kMsdOnly, CheckMode::kTwoSided}) {
+      DetectionConfig cfg;
+      cfg.mode = mode;
+      ProtectedGemm pg(cfg);
+      pg.set_weights(w);
+      for (const std::size_t m : {1, 8, 16}) {
+        const MatF a = random_f32(m, 200, rng);
+        const QuantParams qa = calibrate(a.flat());
+        const MatI8 a8 = quantize(a, qa);
+        ProtectedGemmResult result;
+        pg.run_quantized_into(a8, qa, none, rng, result);
+        bool all_clean = result.report.verdict == Verdict::kClean;
+        const std::size_t before = allocations();
+        for (int call = 0; call < kCalls; ++call) {
+          pg.run_quantized_into(a8, qa, none, rng, result);
+          all_clean = all_clean && result.report.verdict == Verdict::kClean;
+        }
+        const std::size_t made = allocations() - before;
+        REALM_CHECK(all_clean);
+        REALM_CHECK_EQ(made, std::size_t{0});
+      }
+    }
+  }
+}
+
 REALM_TEST_MAIN()

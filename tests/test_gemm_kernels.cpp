@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "realm_test.h"
+#include "tensor/checksum.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -66,15 +67,25 @@ REALM_TEST(all_tiers_match_reference_on_randomized_shapes) {
   const std::size_t shapes[][3] = {{1, 1, 1},   {3, 5, 7},    {8, 64, 32},  {9, 65, 33},
                                    {17, 2, 50}, {33, 127, 1}, {5, 1, 100},  {64, 128, 96},
                                    {66, 130, 97}, {12, 31, 48}, {100, 7, 19}};
-  for (const auto& s : shapes) {
+  // Decode-sized: panels a thousand k-quads long, a k % 4 tail after them, a
+  // ragged last panel, and a panel prefetch that runs past the buffer's end.
+  const std::size_t decode_shapes[][3] = {{1, 4096, 64}, {8, 4096, 96}, {16, 4099, 33}};
+  const auto check = [&](const auto& s) {
     const MatI8 a = random_i8_full_range(s[0], s[1], rng);
     const MatI8 b = random_i8_full_range(s[1], s[2], rng);
     const MatI32 want = reference_gemm(a, b);
+    const std::vector<std::int64_t> want_sums = col_sums(want);
     for (const Tier t : supported_tiers()) {
       kernels::set_active_tier(t);
-      REALM_CHECK(gemm_i8(a, b) == want);
+      MatI32 c;
+      std::vector<std::int64_t> fused;
+      gemm_i8(a, b, c, &fused);
+      REALM_CHECK(c == want);
+      REALM_CHECK(fused == want_sums);
     }
-  }
+  };
+  for (const auto& s : shapes) check(s);
+  for (const auto& s : decode_shapes) check(s);
 }
 
 REALM_TEST(tiers_agree_at_k_bound_with_minus128) {

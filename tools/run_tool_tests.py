@@ -16,6 +16,10 @@ every checker gets both directions pinned against committed fixtures:
   * tools/check_links.py over tests/tooldata/links_*.md — passes valid
     links/anchors (including duplicate-heading suffixes), trips on a missing
     file and on a dead anchor;
+  * tools/ab.py --from-records over tests/tooldata/ab_*.jsonl — the claim
+    rule holds on 10/10 wins with a gain above the parent's IQR, and fails
+    on 8/10 wins and on a parent whose IQR exceeds the gain (which also
+    reads "unresolved" against the metric's bound);
   * tools/realm_lint.py over tests/lintdata/ — trips each rule on its bad
     fixture (with the expected rule tag in the output), stays quiet on the
     good-patterns fixture, and stays quiet on the real tree.
@@ -116,6 +120,17 @@ def main():
     expect("check_links trips on dead anchor",
            [links, tooldata / "links_broken_anchor.md"], want_zero=False,
            want_in_output="broken anchor")
+
+    ab = root / "tools" / "ab.py"
+    expect("ab claim rule holds on 10/10 wins above the parent's IQR",
+           [ab, "--from-records", tooldata / "ab_claim.jsonl", "--claim", "capacity_rps"],
+           want_zero=True, want_in_output="claim capacity_rps: holds")
+    expect("ab claim rule fails on 8/10 wins",
+           [ab, "--from-records", tooldata / "ab_8_of_10_wins.jsonl", "--claim", "capacity_rps"],
+           want_zero=False, want_in_output="claim capacity_rps: does not hold")
+    expect("ab claim rule fails when the parent's spread exceeds the gain",
+           [ab, "--from-records", tooldata / "ab_parent_spread.jsonl", "--claim", "capacity_rps"],
+           want_zero=False, want_in_output="unresolved")
 
     lint_cases = [
         ("src/sa/bad_unforked_rng.cpp", "rng-fork"),
